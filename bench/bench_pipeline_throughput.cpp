@@ -58,7 +58,6 @@ struct Row {
   std::size_t threads = 0;
   double simulate_tps = 0.0;          ///< presentations simulated per second
   double execute_resparc_tps = 0.0;   ///< traces replayed per second
-  double execute_resparc_packed_tps = 0.0;  ///< via the "+packed" batched path
   double execute_cmos_tps = 0.0;
 };
 
@@ -87,10 +86,8 @@ int main() {
   const api::Workload warm = api::Pipeline(opt).benchmark(spec).run();
 
   const auto resparc = api::make_accelerator("resparc-64");
-  const auto resparc_packed = api::make_accelerator("resparc-64+packed");
   const auto cmos = api::make_accelerator("cmos");
   resparc->load(warm.topology());
-  resparc_packed->load(warm.topology());
   cmos->load(warm.topology());
 
   // The simulate rows re-run the workflow with the ALREADY-CALIBRATED
@@ -115,20 +112,23 @@ int main() {
     Row row;
     row.threads = threads;
 
-    const double simulate_s =
-        std::max(timed_run(threads, true) - overhead_s, 1e-9);
+    // A non-positive difference means the overhead run was not the
+    // smaller one — a bad measurement, never a rate to report.
+    const double simulate_s = timed_run(threads, true) - overhead_s;
+    if (!(simulate_s > 0.0)) {
+      std::fprintf(stderr,
+                   "bench_pipeline_throughput: simulate time %g s at %zu "
+                   "threads is not positive (overhead %g s); rerun with "
+                   "more RESPARC_BENCH_IMAGES or RESPARC_BENCH_REPS\n",
+                   simulate_s, threads, overhead_s);
+      return 1;
+    }
     row.simulate_tps = static_cast<double>(warm.traces.size()) / simulate_s;
 
     row.execute_resparc_tps =
         static_cast<double>(warm.traces.size()) /
         min_seconds(reps, [&] {
           (void)api::Pipeline::execute(*resparc, warm.traces, threads);
-        });
-
-    row.execute_resparc_packed_tps =
-        static_cast<double>(warm.traces.size()) /
-        min_seconds(reps, [&] {
-          (void)api::Pipeline::execute(*resparc_packed, warm.traces, threads);
         });
 
     row.execute_cmos_tps =
@@ -139,10 +139,9 @@ int main() {
 
     rows.push_back(row);
     std::printf("threads %2zu: simulate %8.2f pres/s | execute resparc "
-                "%8.2f traces/s | packed %8.2f traces/s | execute cmos "
-                "%8.2f traces/s\n",
+                "%8.2f traces/s | execute cmos %8.2f traces/s\n",
                 row.threads, row.simulate_tps, row.execute_resparc_tps,
-                row.execute_resparc_packed_tps, row.execute_cmos_tps);
+                row.execute_cmos_tps);
   }
 
   std::ostringstream config;
@@ -156,8 +155,6 @@ int main() {
     metrics << "    {\"threads\": " << r.threads
             << ", \"simulate_tps\": " << r.simulate_tps
             << ", \"execute_resparc_tps\": " << r.execute_resparc_tps
-            << ", \"execute_resparc_packed_tps\": "
-            << r.execute_resparc_packed_tps
             << ", \"execute_cmos_tps\": " << r.execute_cmos_tps << "}"
             << (i + 1 < rows.size() ? "," : "") << "\n";
   }

@@ -1,5 +1,5 @@
-// Micro-benchmark — sparse event-driven engine vs the dense simulator
-// across input sparsity (docs/execution.md, docs/benchmarks.md).
+// Micro-benchmark — simulation engine throughput across input sparsity
+// (docs/execution.md, docs/benchmarks.md).
 //
 // The MNIST CNN workload is calibrated ONCE at full input rate (the
 // paper's ~10%-activity regime); the sweep then presents the same fixed
@@ -8,8 +8,9 @@
 // unchanged thresholds quiets every downstream layer, exactly the regime
 // where event-driven execution pays (paper section 3.2, Fig. 13).  For
 // each sparsity level the bench reports measured input sparsity and mean
-// activity (snn::ActivityTrace), dense and sparse traces/sec, and the
-// speedup; sparse throughput must rise monotonically with sparsity.
+// activity (snn::ActivityTrace), the engine's traces/sec, and its
+// speedup over the full-rate row; throughput must rise monotonically
+// with sparsity as the engine trades full-drive steps for stamped ones.
 // Results go to stdout and bench/trajectory/bench_sparse_execution.json
 // (the trajectory envelope of bench/trajectory/README.md).
 //
@@ -39,17 +40,14 @@ struct Row {
   double rate = 1.0;          ///< encoder max_rate scale
   double input_sparsity = 0;  ///< measured 1 - input activity
   double mean_activity = 0;   ///< measured spikes/neuron/step, all layers
-  double dense_tps = 0;       ///< dense-mode traces/sec
-  double sparse_tps = 0;      ///< sparse-mode traces/sec
-  double speedup = 0;         ///< sparse_tps / dense_tps
+  double engine_tps = 0;      ///< traces/sec
+  double speedup = 0;         ///< engine_tps / the full-rate row's
 };
 
-double time_mode(const api::Workload& w, const snn::SimConfig& base,
-                 snn::ExecutionMode mode, std::size_t images,
-                 std::size_t repeats) {
+double time_engine(const api::Workload& w, const snn::SimConfig& base,
+                   std::size_t images, std::size_t repeats) {
   snn::SimConfig cfg = base;
   cfg.record_trace = false;
-  cfg.mode = mode;
   const auto start = Clock::now();
   for (std::size_t r = 0; r < repeats; ++r) {
     for (std::size_t i = 0; i < images; ++i) {
@@ -71,7 +69,7 @@ int main() {
       std::min<std::size_t>(bench::bench_timesteps(), 16);
   const std::size_t repeats = 3;
 
-  std::printf("== sparse event-driven engine vs dense simulator ==\n");
+  std::printf("== simulation engine throughput vs input sparsity ==\n");
   std::printf("(mnist-cnn, %zu presentations x %zu timesteps, thresholds "
               "calibrated once at full rate)\n\n",
               images, timesteps);
@@ -91,33 +89,27 @@ int main() {
     cfg.timesteps = timesteps;
     cfg.encoder.max_rate = rate;
 
-    // Measured sparsity of this sweep point (sparse engine, traced).
+    // Measured sparsity of this sweep point.
     snn::ActivityTrace activity;
-    {
-      snn::SimConfig traced = cfg;
-      traced.mode = snn::ExecutionMode::kSparse;
-      for (std::size_t i = 0; i < images; ++i) {
-        Rng rng(api::presentation_seed(bench::bench_seed(), i));
-        snn::Simulator sim(w.network, traced);
-        activity.add(sim.run(w.test.images[i], rng).trace);
-      }
+    for (std::size_t i = 0; i < images; ++i) {
+      Rng rng(api::presentation_seed(bench::bench_seed(), i));
+      snn::Simulator sim(w.network, cfg);
+      activity.add(sim.run(w.test.images[i], rng).trace);
     }
 
     Row row;
     row.rate = rate;
     row.input_sparsity = activity.input_sparsity();
     row.mean_activity = activity.mean_activity();
-    row.dense_tps =
-        time_mode(w, cfg, snn::ExecutionMode::kDense, images, repeats);
-    row.sparse_tps =
-        time_mode(w, cfg, snn::ExecutionMode::kSparse, images, repeats);
-    row.speedup = row.dense_tps > 0 ? row.sparse_tps / row.dense_tps : 0.0;
+    row.engine_tps = time_engine(w, cfg, images, repeats);
+    row.speedup = row.engine_tps / (rows.empty() ? row.engine_tps
+                                                 : rows.front().engine_tps);
     rows.push_back(row);
 
     std::printf("rate %4.2f | input sparsity %5.1f%% | activity %6.4f | "
-                "dense %8.1f tr/s | sparse %8.1f tr/s | speedup %5.2fx\n",
+                "engine %8.1f tr/s | vs full rate %5.2fx\n",
                 row.rate, 100.0 * row.input_sparsity, row.mean_activity,
-                row.dense_tps, row.sparse_tps, row.speedup);
+                row.engine_tps, row.speedup);
   }
 
   std::ostringstream config;
@@ -131,8 +123,7 @@ int main() {
     metrics << "    {\"rate\": " << Table::num(r.rate, 2)
             << ", \"input_sparsity\": " << Table::num(r.input_sparsity, 4)
             << ", \"mean_activity\": " << Table::num(r.mean_activity, 5)
-            << ", \"dense_tps\": " << Table::num(r.dense_tps, 1)
-            << ", \"sparse_tps\": " << Table::num(r.sparse_tps, 1)
+            << ", \"engine_tps\": " << Table::num(r.engine_tps, 1)
             << ", \"speedup\": " << Table::num(r.speedup, 2) << "}"
             << (i + 1 < rows.size() ? "," : "") << "\n";
   }

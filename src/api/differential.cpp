@@ -1,24 +1,14 @@
 #include "api/differential.hpp"
 
-#include <vector>
+#include <string>
 
-#include "api/registry.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "snn/simulator.hpp"
 
 namespace resparc::api {
 
 namespace {
-
-/// Names an execution mode for failure messages.
-const char* mode_name(snn::ExecutionMode m) {
-  switch (m) {
-    case snn::ExecutionMode::kSparse: return "sparse";
-    case snn::ExecutionMode::kPacked: return "packed";
-    case snn::ExecutionMode::kDense: break;
-  }
-  return "dense";
-}
 
 std::string diverged(const snn::FuzzCase& c, const std::string& what) {
   return c.summary() + ": " + what;
@@ -68,163 +58,40 @@ bool same_sim(const snn::SimResult& a, const snn::SimResult& b,
   return true;
 }
 
-/// Exact comparison of two replay reports (unified fields, energy and
-/// latency buckets, plus every native counter).
-bool same_report(const ExecutionReport& a, const ExecutionReport& b,
-                 std::string& why) {
-  if (a.classifications != b.classifications) {
-    why = "classifications";
-    return false;
-  }
-  if (a.energy_pj != b.energy_pj) {
-    why = "energy_pj";
-    return false;
-  }
-  if (a.latency_ns != b.latency_ns) {
-    why = "latency_ns";
-    return false;
-  }
-  if (a.throughput_hz != b.throughput_hz) {
-    why = "throughput_hz";
-    return false;
-  }
-  if (a.energy_breakdown_pj != b.energy_breakdown_pj) {
-    why = "energy_breakdown_pj";
-    return false;
-  }
-  if (a.latency_breakdown_ns != b.latency_breakdown_ns) {
-    why = "latency_breakdown_ns";
-    return false;
-  }
-  if (a.resparc.has_value() != b.resparc.has_value()) {
-    why = "native report presence";
-    return false;
-  }
-  if (a.resparc) {
-    const core::RunReport& ra = *a.resparc;
-    const core::RunReport& rb = *b.resparc;
-    const core::EnergyBreakdown &ea = ra.energy, &eb = rb.energy;
-    if (ea.neuron_pj != eb.neuron_pj || ea.crossbar_pj != eb.crossbar_pj ||
-        ea.buffer_pj != eb.buffer_pj || ea.control_pj != eb.control_pj ||
-        ea.comm_pj != eb.comm_pj || ea.leakage_pj != eb.leakage_pj) {
-      why = "native energy breakdown";
-      return false;
-    }
-    const core::EventCounts &va = ra.events, &vb = rb.events;
-    if (va.mca_activations != vb.mca_activations ||
-        va.mca_skips != vb.mca_skips ||
-        va.neuron_integrations != vb.neuron_integrations ||
-        va.neuron_fires != vb.neuron_fires ||
-        va.buffer_bits != vb.buffer_bits ||
-        va.switch_flits != vb.switch_flits ||
-        va.switch_skips != vb.switch_skips || va.bus_words != vb.bus_words ||
-        va.bus_skips != vb.bus_skips ||
-        va.ccu_transfers != vb.ccu_transfers ||
-        va.sram_reads != vb.sram_reads || va.sram_writes != vb.sram_writes) {
-      why = "native event counters";
-      return false;
-    }
-    if (ra.perf.cycles_pipelined != rb.perf.cycles_pipelined ||
-        ra.perf.cycles_serial != rb.perf.cycles_serial ||
-        ra.perf.cycles_compute != rb.perf.cycles_compute ||
-        ra.perf.cycles_transport != rb.perf.cycles_transport ||
-        ra.perf.cycles_stall != rb.perf.cycles_stall ||
-        ra.perf.clock_mhz != rb.perf.clock_mhz) {
-      why = "native perf counters";
-      return false;
-    }
-    const auto same_level = [](const noc::LevelStats& x,
-                               const noc::LevelStats& y) {
-      return x.words == y.words && x.hops == y.hops && x.drops == y.drops &&
-             x.stall_cycles == y.stall_cycles &&
-             x.busy_cycles == y.busy_cycles && x.queue_peak == y.queue_peak;
-    };
-    if (!same_level(ra.noc.mesh, rb.noc.mesh) ||
-        !same_level(ra.noc.tree, rb.noc.tree) ||
-        !same_level(ra.noc.bus, rb.noc.bus)) {
-      why = "native noc counters";
-      return false;
-    }
-    if (ra.classifications != rb.classifications) {
-      why = "native classifications";
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 DifferentialResult check_differential(const snn::FuzzCase& c) {
   DifferentialResult out;
   const snn::Network net = snn::make_fuzz_network(c);
 
-  // -- simulation: dense is the oracle; sparse and packed must match it --
+  // -- simulation: the engine must reproduce the dense reference ------
   snn::SimConfig cfg;
   cfg.timesteps = c.timesteps;
   cfg.encoder = c.encoder;
   cfg.record_trace = true;
 
-  snn::SimResult results[3];
-  const snn::ExecutionMode modes[] = {snn::ExecutionMode::kDense,
-                                      snn::ExecutionMode::kSparse,
-                                      snn::ExecutionMode::kPacked};
-  for (std::size_t m = 0; m < 3; ++m) {
-    cfg.mode = modes[m];
-    snn::Simulator sim(net, cfg);
-    // Same seed per mode: the encoder consumes identical random streams,
-    // so any divergence is the engine's, not the input's.
-    Rng rng(c.seed ^ 0xd1ffe8e47ull);
-    results[m] = sim.run(c.image, rng);
-  }
-  for (std::size_t m = 1; m < 3; ++m) {
+  // Same seed on both sides: the encoder consumes identical random
+  // streams, so any divergence is the engine's, not the input's.
+  const std::uint64_t seed = c.seed ^ 0xd1ffe8e47ull;
+  Rng oracle_rng(seed);
+  const snn::SimResult want =
+      snn::simulate_reference(net, cfg, c.image, oracle_rng);
+
+  // Twice through one reused simulator: the second presentation checks
+  // that reset() leaves no state behind, and partitions every layer's
+  // full-drive scatter over the global pool.
+  snn::Simulator sim(net, cfg);
+  for (const bool pooled : {false, true}) {
+    if (pooled) sim.set_pool(&ThreadPool::global(), 0, 1);
+    Rng rng(seed);
+    const snn::SimResult got = sim.run(c.image, rng);
     std::string why;
-    if (!same_sim(results[0], results[m], why)) {
+    if (!same_sim(want, got, why)) {
       out.ok = false;
-      out.detail = diverged(
-          c, std::string("dense vs ") + mode_name(modes[m]) + ": " + why);
-      return out;
-    }
-  }
-
-  // -- replay: sequential dense executor vs the "+packed" batched path --
-  const std::string base = "resparc-" + std::to_string(c.mca_size);
-  const auto dense_accel = make_accelerator(base);
-  const auto packed_accel = make_accelerator(base + "+packed");
-  dense_accel->load(c.topology);
-  packed_accel->load(c.topology);
-
-  // Two presentations (the same trace twice) exercise the multi-lane path
-  // even though one fuzz case yields one trace.
-  const std::vector<snn::SpikeTrace> traces = {results[0].trace,
-                                               results[0].trace};
-  const ExecutionReport ref = dense_accel->execute(traces);
-  ExecutionReport batched = packed_accel->execute(traces);
-  // The backend label legitimately differs ("+packed"); align it so
-  // same_report compares only the numbers.
-  batched.backend = ref.backend;
-  std::string why;
-  if (!same_report(ref, batched, why)) {
-    out.ok = false;
-    out.detail = diverged(c, "executor dense vs batched: " + why);
-    return out;
-  }
-
-  // -- per-trace replay: execute_each lanes vs solo execute() ----------
-  std::vector<ExecutionReport> each;
-  packed_accel->execute_each(traces, each);
-  if (each.size() != traces.size()) {
-    out.ok = false;
-    out.detail = diverged(c, "execute_each report count");
-    return out;
-  }
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    ExecutionReport solo = dense_accel->execute(traces[i]);
-    each[i].backend = solo.backend;
-    if (!same_report(solo, each[i], why)) {
-      out.ok = false;
-      out.detail = diverged(c, "execute_each lane " + std::to_string(i) +
-                                   " vs solo execute: " + why);
+      out.detail = diverged(c, std::string("reference vs ") +
+                                   (pooled ? "reused pooled engine"
+                                           : "engine") +
+                                   ": " + why);
       return out;
     }
   }

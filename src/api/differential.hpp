@@ -1,20 +1,17 @@
 // Differential oracle of the execution stack (docs/execution.md).
 //
-// One fuzz case (snn/fuzz.hpp) is pushed through every path that claims
-// bit-for-bit equivalence and the results are compared exactly:
-//
-//   * simulation — dense, sparse and packed Simulator runs must agree
-//     spike-for-spike (full trace), on every output count and on the
-//     total spike tally;
-//   * replay — the "resparc-<mca>" accelerator's sequential execute()
-//     and its "+packed" batched twin must produce identical reports,
-//     field for field, including every native counter;
-//   * per-trace replay — Accelerator::execute_each reports must equal
-//     the per-trace execute() reports.
+// One fuzz case (snn/fuzz.hpp) is simulated by the engine behind
+// snn::Simulator::run (snn/sparse_engine.hpp) and by the naive dense
+// reference (snn::simulate_reference), and the results are compared
+// exactly: spike-for-spike over the full trace, on every output count and
+// on the total spike tally.  The engine runs the case twice through one
+// reused simulator — the second time with every layer's full-drive
+// scatter partitioned over the global thread pool — so stale state after
+// reset() and partition-order bugs are caught too.
 //
 // check_differential returns the first divergence as a human-readable
-// string naming the seed, the paths compared and the field that split,
-// so a fuzz failure is directly actionable.  tests/test_differential.cpp
+// string naming the seed, the run compared and the field that split, so a
+// fuzz failure is directly actionable.  tests/test_differential.cpp
 // sweeps random seeds plus the regression corpus
 // (tests/data/corpus/seeds.txt); tools/fuzz_topology drives bulk hunts.
 #pragma once
@@ -28,11 +25,11 @@ namespace resparc::api {
 /// Outcome of one differential run.
 struct DifferentialResult {
   bool ok = true;      ///< every compared path agreed exactly
-  std::string detail;  ///< first divergence ("seed=.. dense vs packed ..");
-                       ///< empty when ok
+  std::string detail;  ///< first divergence ("seed=.. reference vs engine
+                       ///< .."); empty when ok
 };
 
-/// Runs `c` through every engine and replay path and compares exactly.
+/// Runs `c` through the engine and the reference and compares exactly.
 /// Deterministic: the same case always produces the same verdict.
 DifferentialResult check_differential(const snn::FuzzCase& c);
 

@@ -166,7 +166,6 @@ Workload Pipeline::run() {
     cfg.timesteps = options_.timesteps;
     cfg.encoder = options_.encoder;
     cfg.record_trace = true;
-    cfg.mode = options_.execution;
     traces.resize(n);
     predicted.resize(n);
     const snn::Network& net_ref = *net;
@@ -239,28 +238,17 @@ ExecutionReport merge_reports(std::vector<ExecutionReport>& parts) {
 
   if (all_resparc) {
     core::RunReport total;
-    core::EventStream stream;
-    bool all_streams = true;
     for (const auto& p : parts) {
       total.energy += p.resparc->energy;
       total.events += p.resparc->events;
       total.perf += p.resparc->perf;
       total.noc += p.resparc->noc;
       total.classifications += p.resparc->classifications;
-      if (p.events.has_value())
-        stream.merge(*p.events);
-      else
-        all_streams = false;
     }
     const double n = static_cast<double>(total.classifications);
     total.energy /= n;
     total.perf /= n;
-    ExecutionReport merged =
-        to_execution_report(total, parts.front().backend);
-    // Sparse-mode parts each carry a per-presentation stream; the merged
-    // report sums them, matching the sequential chip_.execute(traces).
-    if (all_streams) merged.events = std::move(stream);
-    return merged;
+    return to_execution_report(total, parts.front().backend);
   }
 
   if (all_cmos) {
@@ -326,33 +314,10 @@ void Pipeline::execute_each(const Accelerator& accelerator,
                             std::vector<ExecutionReport>& out,
                             std::size_t threads) {
   require(accelerator.loaded(), "pipeline: accelerator has no network loaded");
-  out.clear();
-  if (traces.empty()) return;
-  const std::size_t workers = resolve_threads(threads, traces.size());
-  if (workers <= 1) {
-    // One call covers the whole span so batched backends (packed mode)
-    // replay every trace in a single route-table pass.
-    accelerator.execute_each(traces, out);
-    return;
-  }
-  // Contiguous per-worker chunks, each replayed through the accelerator's
-  // execute_each: a batched backend amortizes within every chunk, and
-  // stitching chunks back in index order keeps out[i] == execute(traces[i])
-  // for any thread count (each lane's report is bit-for-bit the solo one).
   out.resize(traces.size());
-  std::vector<std::vector<ExecutionReport>> chunks(workers);
-  const std::size_t n = traces.size();
-  parallel_for(workers, threads, [&](std::size_t c) {
-    const std::size_t begin = c * n / workers;
-    const std::size_t end = (c + 1) * n / workers;
-    if (end > begin)
-      accelerator.execute_each(traces.subspan(begin, end - begin), chunks[c]);
+  parallel_for(traces.size(), threads, [&](std::size_t i) {
+    out[i] = accelerator.execute(traces[i]);
   });
-  for (std::size_t c = 0; c < workers; ++c) {
-    const std::size_t begin = c * n / workers;
-    for (std::size_t i = 0; i < chunks[c].size(); ++i)
-      out[begin + i] = std::move(chunks[c][i]);
-  }
 }
 
 ComparisonReport Pipeline::compare(const snn::Topology& topology,

@@ -1,8 +1,8 @@
 // Shared SIMD-friendly hot-loop kernels (docs/performance.md).
 //
 // Every hot inner loop of the repository — the trainer's dense/conv
-// forward, the functional simulator's spike-driven row accumulate, the
-// sparse engine's event scatter, and the crossbar/MCA read paths — is
+// forward, the functional simulator's spike-driven row accumulate and
+// event scatter, and the crossbar/MCA read paths — is
 // implemented exactly once here.  The kernels share three invariants:
 //
 //   * contiguous unit-stride inner loops over `__restrict` pointers, so
@@ -86,9 +86,10 @@ inline void scaled_row_add(double* __restrict acc, double v,
 /// four fused via row_add4 — bit-for-bit identical to one row_add per
 /// row).  `cols <= stride` lets a caller accumulate a column slice of a
 /// wider matrix (the simulator's within-trace partitioning).  This is
-/// THE row accumulate both execution engines call: the dense simulator
-/// passes the active-bit list of a SpikeVector, the sparse engine its
-/// AER event list, so dense/sparse parity is structural.
+/// the row accumulate of the index-list scatter (the dense reference
+/// simulation and threshold calibration); masked_row_accumulate
+/// replicates its grouping over packed words for the engine, so
+/// engine/reference parity is structural.
 void accumulate_rows(const float* w, std::size_t stride, std::size_t cols,
                      std::span<const std::uint32_t> rows, float* acc);
 
@@ -112,7 +113,7 @@ std::size_t popcount_dot(const std::uint64_t* a, const std::uint64_t* b,
 /// row_add4 — exactly the grouping accumulate_rows uses — so the result
 /// is bit-for-bit identical to accumulate_rows over the mask's
 /// append_active() index list.  This is the dense-layer scatter of the
-/// packed execution mode ("+packed", docs/execution.md).
+/// engine's full-drive step (snn/sparse_engine.hpp, docs/execution.md).
 void masked_row_accumulate(const float* w, std::size_t stride,
                            std::size_t cols, const std::uint64_t* mask,
                            std::size_t rows, float* acc);

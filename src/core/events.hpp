@@ -73,9 +73,10 @@ class EventStream {
   /// Sum over the whole grid.
   StepEvents total() const;
 
-  /// Elementwise accumulation (presentation-order reduction of a batched
-  /// run).  An empty stream adopts the other's shape; shapes must
-  /// otherwise match — the executors always emit (T x layers+1).
+  /// Elementwise accumulation (presentation-order reduction of a
+  /// multi-trace replay).  An empty stream adopts the other's shape;
+  /// shapes must otherwise match — the executor always emits
+  /// (T x layers+1).
   void merge(const EventStream& other);
 
  private:

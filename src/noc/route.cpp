@@ -1,6 +1,7 @@
 #include "noc/route.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 
@@ -28,19 +29,15 @@ const Route& RouteTable::at(std::size_t b) const {
 }
 
 std::size_t tree_depth(std::size_t neurocells) {
-  std::size_t depth = 0;
-  std::size_t span = 1;
-  while (span < neurocells) {
-    span *= 2;
-    ++depth;
-  }
-  return depth;
+  // ceil(log2(neurocells)) without a doubling loop, so any count —
+  // including a corrupt SIZE_MAX from a loaded blob — terminates.
+  return neurocells <= 1 ? 0 : static_cast<std::size_t>(
+                                   std::bit_width(neurocells - 1));
 }
 
 std::size_t lca_height_of(std::size_t a, std::size_t b) {
-  std::size_t h = 0;
-  while ((a >> h) != (b >> h)) ++h;
-  return h;
+  // Leaves differ first at their highest differing bit.
+  return static_cast<std::size_t>(std::bit_width(a ^ b));
 }
 
 RouteTable compute_routes(const core::Mapping& mapping) {

@@ -75,7 +75,7 @@ FuzzCase make_fuzz_case(std::uint64_t seed) {
     fc.thresholds.push_back(li.spec.kind == LayerKind::kAvgPool
                                 ? 0.5
                                 : rng.uniform(0.4, 2.5));
-  // ~10% of cases exercise the leak regime (the sparse engine's dense
+  // ~10% of cases exercise the leak regime (the engine's whole-population
   // fallback and step_packed's leak branch).
   if (rng.bernoulli(0.1)) fc.leak = rng.uniform(0.05, 0.3);
   fc.subtractive = rng.bernoulli(0.8);

@@ -52,7 +52,7 @@ class IfPopulation {
   /// firing index to `fired_out`.  A stepped neuron whose post-step
   /// membrane still sits at or above threshold is appended to `hot_out`:
   /// under subtractive reset it fires again next step even with zero
-  /// input, so the sparse engine must re-step it.  Bit-for-bit equivalent
+  /// input, so the engine must re-step it.  Bit-for-bit equivalent
   /// to step() only when leak_per_step == 0 and v_threshold > 0 — the
   /// regime where un-stepped silent neurons are provably inert; callers
   /// (snn/sparse_engine.cpp) check that and fall back to step() otherwise.

@@ -2,11 +2,12 @@
 // these input events into the output current buffer" for every layer
 // kind, built on the kernels layer (common/kernels.hpp).
 //
-// Both execution engines call these functions — the dense simulator with
-// the active-bit list of the previous layer's SpikeVector, the sparse
-// engine with its AER event list — so their floating-point results are
-// bit-for-bit identical by construction, not by parallel maintenance of
-// two loop nests (docs/performance.md).
+// The engine's full-drive step (snn/sparse_engine.hpp) scatters from the
+// packed words, the dense reference simulation (snn::simulate_reference)
+// from the index list; both overloads share one loop nest per layer kind,
+// so their floating-point results are bit-for-bit identical by
+// construction, not by parallel maintenance of two loop nests
+// (docs/performance.md).
 //
 // The `part/parts` pair partitions the OUTPUT space (dense columns, conv
 // output channels, pool output indices) so the simulator can spread one
@@ -42,7 +43,7 @@ void scatter_accumulate(const LayerInfo& li, const Matrix& w,
 /// kernels::masked_row_accumulate straight off the words, so the result
 /// is bit-for-bit identical to the index-list overload on the same spike
 /// pattern (tests/test_differential.cpp).  This is the scatter of the
-/// "+packed" execution mode (docs/execution.md).
+/// engine's full-drive step (docs/execution.md).
 void scatter_accumulate(const LayerInfo& li, const Matrix& w,
                         const SpikeVector& in, std::span<float> current,
                         std::size_t part = 0, std::size_t parts = 1);

@@ -10,46 +10,32 @@
 
 namespace resparc::snn {
 
-std::string to_string(ExecutionMode mode) {
-  switch (mode) {
-    case ExecutionMode::kSparse: return "sparse";
-    case ExecutionMode::kPacked: return "packed";
-    case ExecutionMode::kDense: break;
+namespace {
+
+/// Sizes `out` for a fresh presentation of `T` steps through `topo`.
+void begin_result(const Topology& topo, std::size_t T, bool record_trace,
+                  SimResult& out) {
+  out.trace.layers.clear();
+  if (record_trace) {
+    out.trace.layers.resize(topo.layer_count() + 1);
+    for (auto& lt : out.trace.layers) lt.reserve(T);
   }
-  return "dense";
+  out.output_spike_counts.assign(topo.output_count(), 0);
+  out.predicted_class = 0;
+  out.total_spikes = 0;
 }
 
-bool parse_execution_mode(const std::string& text, ExecutionMode& out) {
-  if (text == "dense") {
-    out = ExecutionMode::kDense;
-    return true;
-  }
-  if (text == "sparse") {
-    out = ExecutionMode::kSparse;
-    return true;
-  }
-  if (text == "packed") {
-    out = ExecutionMode::kPacked;
-    return true;
-  }
-  return false;
+/// Argmax of the output spike counts (first maximum wins).
+std::size_t argmax(const std::vector<std::size_t>& counts) {
+  return static_cast<std::size_t>(std::distance(
+      counts.begin(), std::max_element(counts.begin(), counts.end())));
 }
+
+}  // namespace
 
 Simulator::Simulator(const Network& net, SimConfig config)
     : net_(net), config_(config), encoder_(config.encoder) {
   require(config_.timesteps > 0, "simulator needs timesteps > 0");
-  // One reusable pool job: run_indexed takes it by const reference, so
-  // the pooled steady state allocates nothing per call.
-  pool_fn_ = [this](std::size_t part, std::size_t /*worker*/) {
-    scatter_accumulate(net_.topology().layers()[pool_job_layer_],
-                       net_.layer(pool_job_layer_).weights, pool_job_active_,
-                       pool_job_current_, part, pool_parts_);
-  };
-  pool_packed_fn_ = [this](std::size_t part, std::size_t /*worker*/) {
-    scatter_accumulate(net_.topology().layers()[pool_job_layer_],
-                       net_.layer(pool_job_layer_).weights, *pool_job_packed_,
-                       pool_job_current_, part, pool_parts_);
-  };
 }
 
 Simulator::~Simulator() = default;
@@ -63,56 +49,6 @@ void Simulator::set_pool(ThreadPool* pool, std::size_t parts,
   pool_min_outputs_ = min_outputs;
 }
 
-void Simulator::accumulate_active(std::size_t l,
-                                  std::span<const std::uint32_t> active,
-                                  std::span<float> current) {
-  const LayerInfo& li = net_.topology().layers()[l];
-  if (pool_ != nullptr && pool_parts_ > 1 && li.neurons >= pool_min_outputs_ &&
-      !active.empty()) {
-    pool_job_layer_ = l;
-    pool_job_active_ = active;
-    pool_job_current_ = current;
-    pool_->run_indexed(pool_parts_, pool_parts_, pool_fn_);
-    return;
-  }
-  scatter_accumulate(li, net_.layer(l).weights, active, current);
-}
-
-void Simulator::accumulate_packed(std::size_t l, const SpikeVector& in,
-                                  std::span<float> current) {
-  const LayerInfo& li = net_.topology().layers()[l];
-  if (pool_ != nullptr && pool_parts_ > 1 && li.neurons >= pool_min_outputs_ &&
-      !in.none()) {
-    pool_job_layer_ = l;
-    pool_job_packed_ = &in;
-    pool_job_current_ = current;
-    pool_->run_indexed(pool_parts_, pool_parts_, pool_packed_fn_);
-    return;
-  }
-  scatter_accumulate(li, net_.layer(l).weights, in, current);
-}
-
-void Simulator::ensure_dense_state() {
-  const Topology& topo = net_.topology();
-  if (pops_.empty()) {
-    pops_.reserve(topo.layer_count());
-    currents_.resize(topo.layer_count());
-    spike_bytes_.resize(topo.layer_count());
-    prev_holder_.resize(topo.layer_count());
-    for (std::size_t l = 0; l < topo.layer_count(); ++l) {
-      const std::size_t n = topo.layers()[l].neurons;
-      pops_.emplace_back(n, net_.layer(l).neuron);
-      currents_[l].assign(n, 0.0f);
-      spike_bytes_[l].assign(n, 0);
-    }
-  } else {
-    // Reuse: identical to reconstruction (IfPopulation::clear zeroes the
-    // membranes exactly like the constructor; currents/spike bytes are
-    // overwritten every step before being read).
-    for (auto& pop : pops_) pop.clear();
-  }
-}
-
 SimResult Simulator::run(std::span<const float> image, Rng& rng) {
   SimResult result;
   run(image, rng, result);
@@ -123,139 +59,79 @@ void Simulator::run(std::span<const float> image, Rng& rng, SimResult& out) {
   const Topology& topo = net_.topology();
   require(image.size() == topo.input_shape().size(),
           "simulator: image size does not match topology input");
-  out.trace.layers.clear();
-  out.output_spike_counts.assign(topo.output_count(), 0);
-  out.predicted_class = 0;
-  out.total_spikes = 0;
-  if (config_.mode == ExecutionMode::kSparse)
-    run_sparse(image, rng, out);
-  else if (config_.mode == ExecutionMode::kPacked)
-    run_packed(image, rng, out);
+  const std::size_t T = config_.timesteps;
+  begin_result(topo, T, config_.record_trace, out);
+  encoder_.encode_into(image, T, rng, input_spikes_);
+
+  if (!engine_)
+    engine_ = std::make_unique<SparseEngine>(net_);
   else
-    run_dense(image, rng, out);
-  out.predicted_class = static_cast<std::size_t>(std::distance(
-      out.output_spike_counts.begin(),
-      std::max_element(out.output_spike_counts.begin(),
-                       out.output_spike_counts.end())));
-}
-
-void Simulator::run_dense(std::span<const float> image, Rng& rng,
-                          SimResult& result) {
-  const Topology& topo = net_.topology();
-  ensure_dense_state();
-
-  const std::size_t T = config_.timesteps;
-  if (config_.record_trace) {
-    result.trace.layers.resize(topo.layer_count() + 1);
-    for (auto& lt : result.trace.layers) lt.reserve(T);
-  }
-
-  encoder_.encode_into(image, T, rng, input_spikes_);
+    engine_->reset();
+  engine_->set_pool(pool_, pool_parts_, pool_min_outputs_);
 
   for (std::size_t t = 0; t < T; ++t) {
-    const SpikeVector* prev = &input_spikes_[t];
+    const SpikeVector* spikes = &input_spikes_[t];
+    std::size_t events = spikes->count();
+    out.total_spikes += events;
+    if (config_.record_trace) out.trace.layers[0].push_back(*spikes);
+    for (std::size_t l = 0; l < topo.layer_count(); ++l) {
+      spikes = &engine_->step_layer(l, *spikes, events);
+      events = engine_->last_fired(l);
+      out.total_spikes += events;
+      if (config_.record_trace) out.trace.layers[l + 1].push_back(*spikes);
+    }
+    output_active_.clear();
+    spikes->append_active(output_active_);
+    for (const std::uint32_t i : output_active_) ++out.output_spike_counts[i];
+  }
+  out.predicted_class = argmax(out.output_spike_counts);
+}
+
+SimResult simulate_reference(const Network& net, const SimConfig& config,
+                             std::span<const float> image, Rng& rng) {
+  const Topology& topo = net.topology();
+  require(config.timesteps > 0, "simulator needs timesteps > 0");
+  require(image.size() == topo.input_shape().size(),
+          "simulator: image size does not match topology input");
+  const std::size_t T = config.timesteps;
+  SimResult result;
+  begin_result(topo, T, config.record_trace, result);
+
+  std::vector<IfPopulation> pops;
+  std::vector<std::vector<float>> currents;
+  std::vector<std::vector<std::uint8_t>> spike_bytes;
+  for (std::size_t l = 0; l < topo.layer_count(); ++l) {
+    const std::size_t n = topo.layers()[l].neurons;
+    pops.emplace_back(n, net.layer(l).neuron);
+    currents.emplace_back(n, 0.0f);
+    spike_bytes.emplace_back(n, std::uint8_t{0});
+  }
+  const std::vector<SpikeVector> input =
+      RateEncoder(config.encoder).encode(image, T, rng);
+  std::vector<SpikeVector> layer_spikes(topo.layer_count());
+  std::vector<std::uint32_t> active;
+
+  for (std::size_t t = 0; t < T; ++t) {
+    const SpikeVector* prev = &input[t];
     result.total_spikes += prev->count();
-    if (config_.record_trace) result.trace.layers[0].push_back(*prev);
-
+    if (config.record_trace) result.trace.layers[0].push_back(*prev);
     for (std::size_t l = 0; l < topo.layer_count(); ++l) {
-      active_scratch_.clear();
-      prev->append_active(active_scratch_);
-      std::fill(currents_[l].begin(), currents_[l].end(), 0.0f);
-      accumulate_active(l, active_scratch_, currents_[l]);
-      pops_[l].step(currents_[l], spike_bytes_[l]);
-      prev_holder_[l].assign_bytes(spike_bytes_[l]);
-      prev = &prev_holder_[l];
+      active.clear();
+      prev->append_active(active);
+      std::fill(currents[l].begin(), currents[l].end(), 0.0f);
+      scatter_accumulate(topo.layers()[l], net.layer(l).weights, active,
+                         currents[l]);
+      pops[l].step(currents[l], spike_bytes[l]);
+      layer_spikes[l] = SpikeVector::from_bytes(spike_bytes[l]);
+      prev = &layer_spikes[l];
       result.total_spikes += prev->count();
-      if (config_.record_trace) result.trace.layers[l + 1].push_back(*prev);
+      if (config.record_trace) result.trace.layers[l + 1].push_back(*prev);
     }
-
-    const SpikeVector& out = prev_holder_.back();
-    for (std::size_t i = 0; i < out.size(); ++i)
-      if (out.get(i)) ++result.output_spike_counts[i];
+    for (std::size_t i = 0; i < prev->size(); ++i)
+      if (prev->get(i)) ++result.output_spike_counts[i];
   }
-}
-
-void Simulator::run_packed(std::span<const float> image, Rng& rng,
-                           SimResult& result) {
-  const Topology& topo = net_.topology();
-  ensure_dense_state();
-
-  const std::size_t T = config_.timesteps;
-  if (config_.record_trace) {
-    result.trace.layers.resize(topo.layer_count() + 1);
-    for (auto& lt : result.trace.layers) lt.reserve(T);
-  }
-
-  encoder_.encode_into(image, T, rng, input_spikes_);
-
-  // Size the per-layer word buffers once per presentation; step_packed
-  // fully overwrites every word each step, so reset() is only needed to
-  // establish the size (reset on an already-sized vector reuses storage).
-  for (std::size_t l = 0; l < topo.layer_count(); ++l)
-    prev_holder_[l].reset(topo.layers()[l].neurons);
-
-  for (std::size_t t = 0; t < T; ++t) {
-    const SpikeVector* prev = &input_spikes_[t];
-    result.total_spikes += prev->count();
-    if (config_.record_trace) result.trace.layers[0].push_back(*prev);
-
-    for (std::size_t l = 0; l < topo.layer_count(); ++l) {
-      std::fill(currents_[l].begin(), currents_[l].end(), 0.0f);
-      accumulate_packed(l, *prev, currents_[l]);
-      pops_[l].step_packed(currents_[l], prev_holder_[l]);
-      prev = &prev_holder_[l];
-      result.total_spikes += prev->count();
-      if (config_.record_trace) result.trace.layers[l + 1].push_back(*prev);
-    }
-
-    const SpikeVector& out = prev_holder_.back();
-    for (std::size_t i = 0; i < out.size(); ++i)
-      if (out.get(i)) ++result.output_spike_counts[i];
-  }
-}
-
-void Simulator::run_sparse(std::span<const float> image, Rng& rng,
-                           SimResult& result) {
-  const Topology& topo = net_.topology();
-
-  const std::size_t T = config_.timesteps;
-  if (config_.record_trace) {
-    result.trace.layers.resize(topo.layer_count() + 1);
-    for (auto& lt : result.trace.layers) lt.reserve(T);
-  }
-
-  encoder_.encode_into(image, T, rng, input_spikes_);
-
-  if (!sparse_)
-    sparse_ = std::make_unique<SparseEngine>(net_);
-  else
-    sparse_->reset();
-  SparseEngine& engine = *sparse_;
-
-  // Double-buffered AER lists: the input side of one layer is the output
-  // side of the previous one.
-  for (std::size_t t = 0; t < T; ++t) {
-    active_in_.clear();
-    input_spikes_[t].append_active(active_in_);
-    result.total_spikes += active_in_.size();
-    if (config_.record_trace)
-      result.trace.layers[0].push_back(input_spikes_[t]);
-
-    // Word-form view of the same spikes: saturated full-drive steps
-    // scatter straight from these packed words (see step_layer).
-    const SpikeVector* prev_vec = &input_spikes_[t];
-    for (std::size_t l = 0; l < topo.layer_count(); ++l) {
-      const SpikeVector& out =
-          engine.step_layer(l, active_in_, active_out_, prev_vec);
-      prev_vec = &out;
-      active_in_.swap(active_out_);
-      result.total_spikes += active_in_.size();
-      if (config_.record_trace) result.trace.layers[l + 1].push_back(out);
-    }
-
-    // active_in_ now holds the output layer's spikes for this step.
-    for (const std::uint32_t i : active_in_) ++result.output_spike_counts[i];
-  }
+  result.predicted_class = argmax(result.output_spike_counts);
+  return result;
 }
 
 void Simulator::observe_currents(std::span<const float> image, Rng& rng,

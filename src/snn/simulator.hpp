@@ -2,9 +2,10 @@
 //
 // Executes a Network for T timesteps on one encoded input and records the
 // full spike trace.  Propagation is input-driven ("event-driven"): only
-// spiking neurons scatter their fan-out, mirroring both the biological
-// motivation and the architecture's zero-skipping (section 3.2) — and
-// making paper-scale networks simulable on a laptop.
+// spiking neurons scatter their fan-out, and each layer step picks a
+// stamped or a full-drive update by its input event count
+// (snn/sparse_engine.hpp), mirroring the architecture's zero-skipping
+// (section 3.2) — and making paper-scale networks simulable on a laptop.
 //
 // The simulator is the single source of spike traces for BOTH architecture
 // models (RESPARC and the CMOS baseline), which guarantees the two sides of
@@ -13,15 +14,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "snn/encoder.hpp"
-#include "snn/execution.hpp"
 #include "snn/network.hpp"
 #include "snn/trace.hpp"
 
@@ -38,9 +36,6 @@ struct SimConfig {
   std::size_t timesteps = 32;  ///< presentation length per classification
   EncoderConfig encoder{};     ///< input spike encoding
   bool record_trace = true;    ///< keep the packed trace (off for accuracy-only runs)
-  ExecutionMode mode = ExecutionMode::kDense;  ///< execution engine; all
-                                               ///< modes are bit-for-bit
-                                               ///< identical (test-enforced)
 };
 
 /// Result of one presentation.
@@ -70,9 +65,9 @@ class Simulator {
   /// performs zero heap allocations (tests/test_allocation.cpp).
   void run(std::span<const float> image, Rng& rng, SimResult& out);
 
-  /// Enables within-trace parallelism: layers with at least
-  /// `min_outputs` neurons spread their event scatter over `parts`
-  /// output partitions on `pool` (0 = pool width).  Results are
+  /// Enables within-trace parallelism: full-drive steps of layers with
+  /// at least `min_outputs` neurons spread their packed-word scatter over
+  /// `parts` output partitions on `pool` (0 = pool width).  Results are
   /// bit-for-bit identical with any pool/parts value — each output
   /// element is written by exactly one partition in the serial order
   /// (docs/performance.md).  Pass nullptr to disable (the default).
@@ -90,60 +85,29 @@ class Simulator {
                         std::size_t layer, std::vector<float>& samples_out);
 
  private:
-  /// Scatters the active list of layer l's input into `current` —
-  /// partitioned over the pool when enabled, serial otherwise.
-  void accumulate_active(std::size_t l, std::span<const std::uint32_t> active,
-                         std::span<float> current);
-
-  /// Packed-word twin of accumulate_active: scatters straight from the
-  /// input SpikeVector's words (no AER list), same pool partitioning.
-  void accumulate_packed(std::size_t l, const SpikeVector& in,
-                         std::span<float> current);
-
-  /// Builds (first run) or clears (reuse) the dense per-layer state.
-  void ensure_dense_state();
-
-  /// run() body for ExecutionMode::kDense (the historical path).
-  void run_dense(std::span<const float> image, Rng& rng, SimResult& out);
-  /// run() body for ExecutionMode::kSparse (snn/sparse_engine.hpp).
-  void run_sparse(std::span<const float> image, Rng& rng, SimResult& out);
-  /// run() body for ExecutionMode::kPacked: dense stepping entirely on
-  /// 64-bit spike words (packed scatter in, IfPopulation::step_packed
-  /// out) — no per-step AER list or byte buffer.  Bit-for-bit identical
-  /// traces to run_dense (tests/test_differential.cpp).
-  void run_packed(std::span<const float> image, Rng& rng, SimResult& out);
-
   const Network& net_;
   SimConfig config_;
   RateEncoder encoder_;
 
-  // Within-trace parallelism (set_pool).
+  // Within-trace parallelism (set_pool), handed to the engine each run.
   ThreadPool* pool_ = nullptr;
   std::size_t pool_parts_ = 1;
   std::size_t pool_min_outputs_ = kMinPooledOutputs;
-  /// Pre-built pool job reading pool_job_*; reusing one std::function
-  /// keeps the pooled steady state allocation-free.
-  std::function<void(std::size_t, std::size_t)> pool_fn_;
-  /// Packed twin of pool_fn_, scattering from pool_job_packed_ instead of
-  /// the index list.
-  std::function<void(std::size_t, std::size_t)> pool_packed_fn_;
-  std::size_t pool_job_layer_ = 0;                 ///< layer being scattered
-  std::span<const std::uint32_t> pool_job_active_; ///< its input events
-  const SpikeVector* pool_job_packed_ = nullptr;   ///< packed-mode input
-  std::span<float> pool_job_current_;              ///< its output buffer
 
   // Per-presentation scratch, hoisted so the steady state is
   // allocation-free (buffers only ever grow).
-  std::vector<IfPopulation> pops_;                  ///< dense-path membranes
-  std::vector<std::vector<float>> currents_;        ///< per-layer drive
-  std::vector<std::vector<std::uint8_t>> spike_bytes_;  ///< dense step out
-  std::vector<SpikeVector> prev_holder_;            ///< packed spikes
-  std::vector<SpikeVector> input_spikes_;           ///< encoded input
-  std::vector<std::uint32_t> active_scratch_;       ///< event list per layer
-  std::unique_ptr<SparseEngine> sparse_;            ///< sparse-mode engine
-  std::vector<std::uint32_t> active_in_;            ///< sparse AER buffers
-  std::vector<std::uint32_t> active_out_;
+  std::vector<SpikeVector> input_spikes_;      ///< encoded input
+  std::vector<std::uint32_t> output_active_;   ///< output-layer spikes
+  std::unique_ptr<SparseEngine> engine_;       ///< built on first run
 };
+
+/// Reference semantics of Simulator::run: the naive dense loop that
+/// steps every neuron of every layer on every timestep (index-list
+/// scatter, byte-output IfPopulation::step), with fresh state per call.
+/// It is the differential oracle the engine is checked against
+/// (api/differential.hpp) and nothing else — use Simulator for work.
+SimResult simulate_reference(const Network& net, const SimConfig& config,
+                             std::span<const float> image, Rng& rng);
 
 /// Sets each layer's threshold to the (1 - target_activity) quantile of its
 /// observed positive input currents, front to back, so every layer fires at

@@ -1,7 +1,7 @@
 #include "snn/sparse_engine.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <bit>
 
 #include "common/error.hpp"
 #include "snn/scatter.hpp"
@@ -23,9 +23,6 @@ SparseEngine::SparseEngine(const Network& net) : net_(net) {
     // can fire spontaneously (vth <= 0), so the population must be
     // stepped densely; accumulation stays sparse either way.
     st.dense_fallback = p.leak_per_step > 0.0 || p.v_threshold <= 0.0;
-    // Byte scratch for the dense stepper, used by fallback layers every
-    // step and by any layer on a saturated (full-drive) step.
-    st.spike_bytes.assign(li.neurons, 0);
     switch (li.spec.kind) {
       case LayerKind::kDense:
         st.touches_per_event = li.neurons;
@@ -39,23 +36,26 @@ SparseEngine::SparseEngine(const Network& net) : net_(net) {
         break;
     }
   }
+  // One reusable pool job: run_indexed takes it by const reference, so
+  // the pooled steady state allocates nothing per call.
+  pool_fn_ = [this](std::size_t part, std::size_t /*worker*/) {
+    scatter_accumulate(net_.topology().layers()[job_layer_],
+                       net_.layer(job_layer_).weights, *job_in_,
+                       state_[job_layer_].current, part, pool_parts_);
+  };
 }
 
-template <bool Stamp>
-void SparseEngine::accumulate(std::size_t l,
-                              std::span<const std::uint32_t> in_active,
-                              LayerState& st) {
+void SparseEngine::set_pool(ThreadPool* pool, std::size_t parts,
+                            std::size_t min_outputs) {
+  pool_ = parts > 1 ? pool : nullptr;
+  pool_parts_ = pool_ != nullptr ? parts : 1;
+  pool_min_outputs_ = min_outputs;
+}
+
+void SparseEngine::accumulate_stamped(std::size_t l,
+                                      std::span<const std::uint32_t> in_active,
+                                      LayerState& st) {
   const LayerInfo& li = net_.topology().layers()[l];
-  const LayerParams& lp = net_.layer(l);
-
-  // The stamp-free (full-drive) form IS the dense engine's scatter: both
-  // run the shared kernels in snn/scatter.cpp, so dense/sparse parity is
-  // structural rather than maintained across two loop nests.
-  if constexpr (!Stamp) {
-    scatter_accumulate(li, lp.weights, in_active, st.current);
-    return;
-  }
-
   std::vector<float>& current = st.current;
   const std::uint32_t epoch = st.epoch;
 
@@ -69,78 +69,77 @@ void SparseEngine::accumulate(std::size_t l,
 
   // The loop bodies below mirror snn/scatter.cpp exactly — same event
   // order, same addition order — so the floating-point result is
-  // bit-for-bit identical to the stamp-free path (each output element
-  // sees one plain add per touching event either way).
-  switch (li.spec.kind) {
-    case LayerKind::kDense: {
-      const Matrix& w = lp.weights;
-      for (const std::uint32_t r : in_active) {
-        const auto row = w.row(r);
-        for (std::size_t c = 0; c < row.size(); ++c) current[c] += row[c];
-      }
-      break;
-    }
-    case LayerKind::kConv: {
-      const Matrix& w = lp.weights;  // (inC*k*k) x outC
-      const Shape3 in_shape = li.in_shape;
-      const Shape3 out = li.out_shape;
-      const std::size_t k = li.spec.kernel;
-      const std::size_t pad = li.spec.same_padding ? k / 2 : 0;
-      for (const std::uint32_t idx : in_active) {
-        const std::size_t c = idx / (in_shape.h * in_shape.w);
-        const std::size_t rem = idx % (in_shape.h * in_shape.w);
-        const std::size_t y = rem / in_shape.w;
-        const std::size_t x = rem % in_shape.w;
-        for (std::size_t ky = 0; ky < k; ++ky) {
-          const std::ptrdiff_t oy =
-              static_cast<std::ptrdiff_t>(y + pad) - static_cast<std::ptrdiff_t>(ky);
-          if (oy < 0 || oy >= static_cast<std::ptrdiff_t>(out.h)) continue;
-          for (std::size_t kx = 0; kx < k; ++kx) {
-            const std::ptrdiff_t ox =
-                static_cast<std::ptrdiff_t>(x + pad) - static_cast<std::ptrdiff_t>(kx);
-            if (ox < 0 || ox >= static_cast<std::ptrdiff_t>(out.w)) continue;
-            const std::size_t wrow = (c * k + ky) * k + kx;
-            const auto kernels = w.row(wrow);
-            const std::size_t base =
-                static_cast<std::size_t>(oy) * out.w + static_cast<std::size_t>(ox);
-            for (std::size_t oc = 0; oc < out.c; ++oc) {
-              const std::size_t at = oc * out.h * out.w + base;
-              touch(at);
-              current[at] += kernels[oc];
-            }
+  // bit-for-bit identical to the full-drive scatter (each output element
+  // sees one plain add per touching event either way).  Dense layers
+  // never get here: any event saturates them.
+  if (li.spec.kind == LayerKind::kConv) {
+    const Matrix& w = net_.layer(l).weights;  // (inC*k*k) x outC
+    const Shape3 in_shape = li.in_shape;
+    const Shape3 out = li.out_shape;
+    const std::size_t k = li.spec.kernel;
+    const std::size_t pad = li.spec.same_padding ? k / 2 : 0;
+    for (const std::uint32_t idx : in_active) {
+      const std::size_t c = idx / (in_shape.h * in_shape.w);
+      const std::size_t rem = idx % (in_shape.h * in_shape.w);
+      const std::size_t y = rem / in_shape.w;
+      const std::size_t x = rem % in_shape.w;
+      for (std::size_t ky = 0; ky < k; ++ky) {
+        const std::ptrdiff_t oy =
+            static_cast<std::ptrdiff_t>(y + pad) - static_cast<std::ptrdiff_t>(ky);
+        if (oy < 0 || oy >= static_cast<std::ptrdiff_t>(out.h)) continue;
+        for (std::size_t kx = 0; kx < k; ++kx) {
+          const std::ptrdiff_t ox =
+              static_cast<std::ptrdiff_t>(x + pad) - static_cast<std::ptrdiff_t>(kx);
+          if (ox < 0 || ox >= static_cast<std::ptrdiff_t>(out.w)) continue;
+          const std::size_t wrow = (c * k + ky) * k + kx;
+          const auto kernels = w.row(wrow);
+          const std::size_t base =
+              static_cast<std::size_t>(oy) * out.w + static_cast<std::size_t>(ox);
+          for (std::size_t oc = 0; oc < out.c; ++oc) {
+            const std::size_t at = oc * out.h * out.w + base;
+            touch(at);
+            current[at] += kernels[oc];
           }
         }
       }
-      break;
     }
-    case LayerKind::kAvgPool: {
-      const Shape3 in_shape = li.in_shape;
-      const Shape3 out = li.out_shape;
-      const std::size_t p = li.spec.pool;
-      const float share = 1.0f / static_cast<float>(p * p);
-      for (const std::uint32_t idx : in_active) {
-        const std::size_t c = idx / (in_shape.h * in_shape.w);
-        const std::size_t rem = idx % (in_shape.h * in_shape.w);
-        const std::size_t y = rem / in_shape.w;
-        const std::size_t x = rem % in_shape.w;
-        const std::size_t at = (c * out.h + y / p) * out.w + x / p;
-        touch(at);
-        current[at] += share;
-      }
-      break;
-    }
+    return;
   }
+  // kAvgPool: each event touches exactly one output.
+  const Shape3 in_shape = li.in_shape;
+  const Shape3 out = li.out_shape;
+  const std::size_t p = li.spec.pool;
+  const float share = 1.0f / static_cast<float>(p * p);
+  for (const std::uint32_t idx : in_active) {
+    const std::size_t c = idx / (in_shape.h * in_shape.w);
+    const std::size_t rem = idx % (in_shape.h * in_shape.w);
+    const std::size_t y = rem / in_shape.w;
+    const std::size_t x = rem % in_shape.w;
+    const std::size_t at = (c * out.h + y / p) * out.w + x / p;
+    touch(at);
+    current[at] += share;
+  }
+}
+
+void SparseEngine::scatter_full(std::size_t l, const SpikeVector& in,
+                                LayerState& st) {
+  const LayerInfo& li = net_.topology().layers()[l];
+  if (pool_ != nullptr && li.neurons >= pool_min_outputs_) {
+    job_layer_ = l;
+    job_in_ = &in;
+    pool_->run_indexed(pool_parts_, pool_parts_, pool_fn_);
+    return;
+  }
+  scatter_accumulate(li, net_.layer(l).weights, in, st.current);
 }
 
 void SparseEngine::reset() {
   for (LayerState& st : state_) {
     st.pop.clear();
-    // Only the bits named in `fired` can be set in `out` (step_layer
-    // retires the previous step through the same list), so clearing via
-    // the list restores the all-zero invariant without an O(words) wipe.
-    for (const std::uint32_t i : st.fired) st.out.clear(i);
-    st.fired.clear();
+    st.out.reset(st.out.size());
+    st.fired = 0;
     st.hot.clear();
+    st.hot_in_out = false;
     st.touched.clear();
     // The all-zero `current` invariant already holds between steps, and
     // `stamp`/`epoch` are self-correcting (epoch strictly increases), so
@@ -148,65 +147,53 @@ void SparseEngine::reset() {
   }
 }
 
-template void SparseEngine::accumulate<true>(
-    std::size_t, std::span<const std::uint32_t>, LayerState&);
-template void SparseEngine::accumulate<false>(
-    std::size_t, std::span<const std::uint32_t>, LayerState&);
-
-const SpikeVector& SparseEngine::step_layer(
-    std::size_t l, std::span<const std::uint32_t> in_active,
-    std::vector<std::uint32_t>& out_active, const SpikeVector* in_packed) {
-  require(l < state_.size(), "sparse engine: layer out of range");
+const SpikeVector& SparseEngine::step_layer(std::size_t l,
+                                            const SpikeVector& in,
+                                            std::size_t events) {
+  require(l < state_.size(), "engine: layer out of range");
   LayerState& st = state_[l];
   ++st.epoch;
-
-  // Retire the previous step's spikes so `out` can be rebuilt from the
-  // fired list alone.
-  for (const std::uint32_t i : st.fired) st.out.clear(i);
-  st.fired.clear();
   st.touched.clear();
-  out_active.clear();
 
   // A step saturates once the events' combined fan-out covers the
   // population: stamping would cost more than stepping everyone.
   const bool full_drive =
-      !in_active.empty() &&
-      (st.all_touched ||
-       in_active.size() * st.touches_per_event >= st.current.size());
-  if (!in_active.empty()) {
-    if (full_drive) {
-      // A saturated step visits every input event anyway; with the packed
-      // words at hand, decode them inline (same ascending order as the
-      // index list) instead of re-reading the AER indices.
-      if (in_packed != nullptr)
-        scatter_accumulate(net_.topology().layers()[l], net_.layer(l).weights,
-                           *in_packed, st.current);
-      else
-        accumulate<false>(l, in_active, st);
-    } else {
-      accumulate<true>(l, in_active, st);
-    }
+      events > 0 && (st.all_touched ||
+                     events * st.touches_per_event >= st.current.size());
+  if (full_drive) {
+    scatter_full(l, in, st);
+  } else if (events > 0) {
+    in_active_.clear();
+    in.append_active(in_active_);
+    accumulate_stamped(l, in_active_, st);
   }
 
-  if (st.dense_fallback || full_drive) {
-    // Either every membrane evolves every step (leak / zero threshold) or
-    // the events cover the population anyway: run the dense, vectorizable
-    // update over the buffer — a busy step never costs more than the
-    // dense path.
-    st.pop.step(st.current, st.spike_bytes);
-    const float vth = static_cast<float>(st.pop.params().v_threshold);
+  if (full_drive || st.dense_fallback) {
+    // Either the events cover the population anyway or every membrane
+    // evolves every step (leak / zero threshold): run the vectorizable
+    // whole-population update straight into the output words, which it
+    // fully overwrites.
+    st.fired = st.pop.step_packed(st.current, st.out);
+    // The hot set of this step is derived from `out` only if the next
+    // step is stamped; back-to-back full-drive steps never need it.
     st.hot.clear();
-    for (std::size_t i = 0; i < st.spike_bytes.size(); ++i) {
-      if (!st.spike_bytes[i]) continue;
-      const std::uint32_t idx = static_cast<std::uint32_t>(i);
-      st.fired.push_back(idx);
-      st.out.set(idx);
-      out_active.push_back(idx);
-      // A subtractive reset can leave a fired membrane at or above
-      // threshold; the next (possibly sparse) step must revisit it.
-      if (st.pop.membrane(i) >= vth) st.hot.push_back(idx);
-    }
+    st.hot_in_out = true;
   } else {
+    if (st.hot_in_out) {
+      // The previous step was full-drive: a subtractive reset can have
+      // left a neuron it fired at or above threshold (only fired neurons
+      // can qualify), and `out` still holds those spikes.
+      const float vth = static_cast<float>(st.pop.params().v_threshold);
+      const auto words = st.out.words();
+      for (std::size_t w = 0; w < words.size(); ++w) {
+        for (std::uint64_t word = words[w]; word != 0; word &= word - 1) {
+          const auto i = static_cast<std::uint32_t>(
+              (w << 6) + static_cast<unsigned>(std::countr_zero(word)));
+          if (st.pop.membrane(i) >= vth) st.hot.push_back(i);
+        }
+      }
+      st.hot_in_out = false;
+    }
     // Step set = touched columns ∪ hot carry-overs (a subtractive reset
     // can leave the membrane at or above threshold, in which case the
     // neuron fires again next step with no input at all).
@@ -214,10 +201,11 @@ const SpikeVector& SparseEngine::step_layer(
     for (const std::uint32_t i : st.hot)
       if (st.stamp[i] != st.epoch) st.step_set.push_back(i);
     st.hot.clear();
-    st.pop.step_at(st.step_set, st.current, st.fired, st.hot);
-    st.step_set.clear();
-    for (const std::uint32_t i : st.fired) st.out.set(i);
-    st.out.append_active(out_active);
+    fired_.clear();
+    st.pop.step_at(st.step_set, st.current, fired_, st.hot);
+    if (st.fired != 0) st.out.reset(st.out.size());
+    for (const std::uint32_t i : fired_) st.out.set(i);
+    st.fired = fired_.size();
   }
 
   // Restore the all-zero current invariant, clearing only what was

@@ -1,50 +1,56 @@
-// Sparse, spike-event-driven execution engine (docs/execution.md).
+// The simulation engine behind snn::Simulator::run (docs/execution.md).
 //
-// The dense simulator path touches every neuron of every layer on every
-// timestep: it zero-fills a full current buffer, scans every input bit,
-// steps the whole population and re-packs the spike bytes — O(neurons)
-// fixed cost per layer per step even when almost nothing spiked.  This
-// engine replaces that inner loop with an AER-style event path:
+// RESPARC skips work on silent inputs with a zero-check on every switch
+// and MCA group (paper section 3.2).  This engine is the executable form
+// of that lever: each layer, on each timestep, picks one of two steps by
+// the number of input events —
 //
-//   * the previous layer's spikes arrive as an ascending active-index
-//     list (SpikeVector::append_active), so silent inputs are never
-//     visited;
-//   * accumulation scatters each event through the layer's connectivity,
-//     stamping the output columns it touches;
-//   * only touched columns — plus "hot" neurons whose membrane stayed at
+//   * a STAMPED step while the events' combined fan-out stays below the
+//     population: the previous layer's spikes are decoded to an
+//     ascending AER index list, each event is scattered through the
+//     layer's connectivity stamping the output columns it touches, and
+//     only touched columns — plus "hot" neurons whose membrane stayed at
 //     or above threshold after a subtractive reset — are stepped
-//     (IfPopulation::step_at); everything else is provably inert when
-//     leak_per_step == 0;
-//   * the touched entries of the current buffer are cleared afterwards,
-//     keeping the all-zero invariant without a full refill.
+//     (IfPopulation::step_at).  Everything else is provably inert when
+//     leak_per_step == 0, and only the touched entries of the current
+//     buffer are cleared afterwards;
+//   * a FULL-DRIVE step once the fan-out covers the population anyway:
+//     the events scatter straight from the input's 64-bit spike words
+//     (snn/scatter.hpp packed overload), partitioned over a ThreadPool
+//     when set_pool() is on, and IfPopulation::step_packed writes the
+//     layer's spikes directly into its output words.
 //
-// The arithmetic and its ordering are identical to the dense path, so the
-// produced spike trains are bit-for-bit the same (tests/
-// test_sparse_execution.cpp enforces this across every bundled topology);
-// wall-clock cost scales with spike events instead of network size, which
-// is the executable form of the paper's section 3.2 event-driven lever.
-// Layers outside the provably-inert regime (leak > 0, or a non-positive
-// threshold) transparently fall back to the dense population step while
-// keeping the sparse accumulation.
+// The rule is structural (fan-out bound vs population), not a tuned
+// constant.  Both steps perform the same additions in the same order as
+// the dense reference simulation (snn::simulate_reference), so traces are
+// bit-for-bit identical to it (tests/test_differential.cpp,
+// tests/test_sparse_execution.cpp).  Layers outside the inert regime
+// (leak > 0, or a non-positive threshold) step their whole population
+// every step while keeping the stamped accumulation.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "snn/network.hpp"
 #include "snn/trace.hpp"
 
 namespace resparc::snn {
 
-/// Event-driven executor for one presentation.  Construct per
-/// presentation (like the dense path's per-run populations): the engine
-/// snapshots the network's neuron parameters at construction, and the
+/// Event-driven executor of one presentation at a time.  The engine
+/// snapshots the network's neuron parameters at construction; the
 /// network must outlive it.
 class SparseEngine {
  public:
   /// Snapshots `net`'s neuron parameters and sizes the scratch state.
   explicit SparseEngine(const Network& net);
+
+  // The pre-built pool job captures `this`.
+  SparseEngine(const SparseEngine&) = delete;
+  SparseEngine& operator=(const SparseEngine&) = delete;
 
   /// Returns the engine to its just-constructed state (zero membranes,
   /// no pending spikes) without releasing any scratch storage — the
@@ -52,24 +58,24 @@ class SparseEngine {
   /// Bit-for-bit equivalent to constructing a fresh engine.
   void reset();
 
-  /// Runs one timestep of layer `l`.  `in_active` is the previous
-  /// layer's ascending active-index list (its spikes in AER form); the
-  /// returned vector (this layer's spikes) stays valid until the next
-  /// step_layer call for the same layer.  `out_active` is cleared and
-  /// refilled with the layer's ascending active list.  When `in_packed`
-  /// names the same spikes in word form, a saturated (full-drive) step
-  /// scatters straight from the packed words through the popcount/mask
-  /// kernels (snn/scatter.hpp packed overload) instead of the index
-  /// list — same event order, bit-for-bit identical currents.
-  const SpikeVector& step_layer(std::size_t l,
-                                std::span<const std::uint32_t> in_active,
-                                std::vector<std::uint32_t>& out_active,
-                                const SpikeVector* in_packed = nullptr);
+  /// Spreads the scatter of full-drive steps on layers with at least
+  /// `min_outputs` neurons over `parts` output partitions on `pool`
+  /// (nullptr or parts <= 1 = serial).  Results are bit-for-bit
+  /// identical for any setting: each output element is written by one
+  /// partition in the serial order.
+  void set_pool(ThreadPool* pool, std::size_t parts, std::size_t min_outputs);
+
+  /// Runs one timestep of layer `l` on `in`, the previous layer's spikes
+  /// (or the encoded input for layer 0), carrying `events` ==
+  /// in.count() spikes — known to every caller (last_fired(l - 1), or
+  /// the encoder's count), so the engine never re-counts.  The returned
+  /// vector (this layer's spikes) stays valid until the next step_layer
+  /// call for the same layer.
+  const SpikeVector& step_layer(std::size_t l, const SpikeVector& in,
+                                std::size_t events);
 
   /// Spikes emitted by layer `l` in its most recent step.
-  std::size_t last_fired(std::size_t l) const {
-    return state_[l].fired.size();
-  }
+  std::size_t last_fired(std::size_t l) const { return state_[l].fired; }
 
  private:
   struct LayerState {
@@ -78,34 +84,47 @@ class SparseEngine {
     std::vector<std::uint32_t> touched;  ///< columns written this step
     std::vector<std::uint32_t> stamp;    ///< epoch marks backing `touched`
     std::vector<std::uint32_t> step_set;  ///< touched ∪ hot, deduplicated
-    std::vector<std::uint32_t> fired;    ///< spikes of the latest step
     std::vector<std::uint32_t> hot;      ///< membrane >= vth after reset
-    std::vector<std::uint8_t> spike_bytes;  ///< dense-fallback scratch
     SpikeVector out;                  ///< spikes of the latest step
+    std::size_t fired = 0;            ///< popcount of `out`
+    /// `hot` is still to be derived from `out` (the latest step was
+    /// full-drive; see step_layer).
+    bool hot_in_out = false;
     std::uint32_t epoch = 0;
     bool all_touched = false;  ///< dense layer: any event drives every column
     bool dense_fallback = false;  ///< leak > 0 or vth <= 0: step everyone
-    /// Upper bound on columns one event can touch (kernel fan-out).  When
-    /// events x touches would cover the population anyway, the engine
-    /// saturates to a stamp-free full drive so a busy step never costs
-    /// more than the dense path.
+    /// Upper bound on columns one event can touch (kernel fan-out): a
+    /// step whose events x touches cover the population is full-drive.
     std::size_t touches_per_event = 0;
 
     LayerState(std::size_t n, const IfParams& params)
         : pop(n, params), current(n, 0.0f), stamp(n, 0), out(n) {}
   };
 
-  /// Scatters `in_active` through layer `l`'s connectivity into the
-  /// current buffer.  Stamp=false is the full-drive variant (dense
-  /// layers, or a saturated step): it compiles to the exact dense scatter
-  /// loop with no per-write bookkeeping, so a busy step never pays for
-  /// sparsity it does not have.
-  template <bool Stamp>
-  void accumulate(std::size_t l, std::span<const std::uint32_t> in_active,
-                  LayerState& st);
+  /// Scatters `in_active` through conv/pool layer `l`'s connectivity
+  /// into the current buffer, stamping every column it writes.
+  void accumulate_stamped(std::size_t l,
+                          std::span<const std::uint32_t> in_active,
+                          LayerState& st);
+
+  /// Full-drive scatter of `in`'s packed words into layer `l`'s current
+  /// buffer — partitioned over the pool when enabled, serial otherwise.
+  void scatter_full(std::size_t l, const SpikeVector& in, LayerState& st);
 
   const Network& net_;
   std::vector<LayerState> state_;
+  std::vector<std::uint32_t> in_active_;  ///< AER list of a stamped input
+  std::vector<std::uint32_t> fired_;      ///< step_at output scratch
+
+  // Within-trace parallelism (set_pool).
+  ThreadPool* pool_ = nullptr;
+  std::size_t pool_parts_ = 1;
+  std::size_t pool_min_outputs_ = 0;
+  /// Pre-built pool job reading job_*; reusing one std::function keeps
+  /// the pooled steady state allocation-free.
+  std::function<void(std::size_t, std::size_t)> pool_fn_;
+  std::size_t job_layer_ = 0;            ///< layer being scattered
+  const SpikeVector* job_in_ = nullptr;  ///< its input spikes
 };
 
 }  // namespace resparc::snn

@@ -39,6 +39,17 @@ bool close(double actual, double expected, double tolerance) {
 
 std::size_t word_count(std::size_t bits) { return (bits + 63) / 64; }
 
+/// NeuroCells the layers actually place into (last placed cell + 1).
+/// The routing and capacity passes size their checks from this rather
+/// than from the stored total_neurocells, which is an unchecked blob
+/// field until consistency_pass compares the two (RV-CONS-TOTALS).
+std::size_t placed_neurocells(const Mapping& m) {
+  std::size_t placed = 0;
+  for (const LayerMapping& lm : m.layers)
+    placed = std::max(placed, lm.last_nc + 1);
+  return placed;
+}
+
 /// Whitespace folded to '-', mirroring the serializer's token() (the
 /// stored topology summary is compared in folded form).
 std::string fold_token(const std::string& s) {
@@ -122,6 +133,7 @@ void structure_pass(const CompiledProgram& p, const VerifyOptions&,
     return;  // per-route checks below assume a covering table
   }
 
+  const std::size_t placed = std::max<std::size_t>(1, placed_neurocells(m));
   for (std::size_t b = 0; b < boundaries; ++b) {
     const noc::Route& r = p.routes.boundaries[b];
     if (r.boundary != b)
@@ -129,8 +141,7 @@ void structure_pass(const CompiledProgram& p, const VerifyOptions&,
                    "stored boundary index " + std::to_string(r.boundary) +
                        " does not match position " + std::to_string(b));
     if (r.dst_nc_first > r.dst_nc_last ||
-        r.dst_nc_last >= std::max<std::size_t>(1, m.total_neurocells) ||
-        r.src_nc >= std::max<std::size_t>(1, m.total_neurocells)) {
+        r.dst_nc_last >= placed || r.src_nc >= placed) {
       report.error("RV-STRUCT-ROUTE-ENDPOINT", boundary_loc(b),
                    "route endpoints (src " + std::to_string(r.src_nc) +
                        ", dst [" + std::to_string(r.dst_nc_first) + ", " +
@@ -167,7 +178,8 @@ void routing_pass(const CompiledProgram& p, const VerifyOptions&,
   const Mapping& m = p.mapping;
   if (m.layers.empty() || p.routes.size() != m.layers.size() + 1)
     return;  // structure_pass reported the shape problem
-  const std::size_t depth = noc::tree_depth(m.total_neurocells);
+  const std::size_t placed = placed_neurocells(m);
+  const std::size_t depth = noc::tree_depth(placed);
   const std::size_t mesh = m.config.nc_dim - 1;
   const std::size_t layers = m.layers.size();
 
@@ -175,17 +187,15 @@ void routing_pass(const CompiledProgram& p, const VerifyOptions&,
     const noc::Route& r = p.routes.boundaries[b];
     const std::string loc = boundary_loc(b);
 
-    if (r.src_span == 0 || r.src_span > std::max<std::size_t>(
-                               1, m.total_neurocells)) {
+    if (r.src_span == 0 || r.src_span > std::max<std::size_t>(1, placed)) {
       report.error("RV-ROUTE-SRC-SPAN", loc,
                    "source span " + std::to_string(r.src_span) +
-                       " outside [1, " +
-                       std::to_string(m.total_neurocells) + "]");
+                       " outside [1, " + std::to_string(placed) + "]");
     }
-    if (r.fanout() > std::max<std::size_t>(1, m.total_neurocells))
+    if (r.fanout() > std::max<std::size_t>(1, placed))
       report.error("RV-ROUTE-FANOUT", loc,
                    "destination fanout " + std::to_string(r.fanout()) +
-                       " exceeds the " + std::to_string(m.total_neurocells) +
+                       " exceeds the " + std::to_string(placed) +
                        " placed NeuroCells");
 
     if (b == 0 || b == layers) {
@@ -281,8 +291,12 @@ void capacity_pass(const CompiledProgram& p, const VerifyOptions& options,
   // N.  Two extra invariants guard the mix itself: the override must be a
   // legal array size, and one NeuroCell never holds arrays of two sizes
   // (the peripheral pitch of a cell is fixed at fabrication).
-  std::vector<std::size_t> nc_size;  // resolved size per occupied NC, 0 = free
-  nc_size.resize(m.total_neurocells, 0);
+  // Resolved size per occupied NC, 0 = free.  Sized from the placement,
+  // never more than the claimed total: both are unchecked blob fields
+  // here (consistency_pass reports a bad total), so neither alone may
+  // size an allocation.
+  std::vector<std::size_t> nc_size(
+      std::min(placed_neurocells(m), m.total_neurocells), 0);
 
   for (std::size_t l = 0; l < m.layers.size(); ++l) {
     const LayerMapping& lm = m.layers[l];

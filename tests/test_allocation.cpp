@@ -3,9 +3,11 @@
 //
 // The whole test binary's global operator new/delete are replaced with
 // counting forwarders to malloc/free; counting is enabled only around
-// the measured region.  The protocol per engine: run one paper-scale
-// CNN presentation to warm the simulator's scratch arenas, then run a
-// second identical presentation and require that it allocated nothing.
+// the measured region.  The protocol per input regime: run one
+// paper-scale CNN presentation to warm the simulator's scratch arenas,
+// then run a second identical presentation and require that it
+// allocated nothing.  A full-rate input drives the engine's full-drive
+// steps, a dim one (encoder max_rate 0.05) its stamped steps.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -49,6 +51,22 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return counted_alloc(size, static_cast<std::size_t>(align));
 }
+// The nothrow forms (std::stable_sort's temporary buffer) must allocate
+// through the same malloc as the replaced deletes below free into.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(size, alignof(std::max_align_t));
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(size, alignof(std::max_align_t));
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -88,11 +106,11 @@ class AllocationSteadyState : public ::testing::Test {
   }
 
   /// Warm presentation, then a bit-identical second one with counting on.
-  std::size_t second_presentation_allocations(snn::ExecutionMode mode) {
+  std::size_t second_presentation_allocations(double max_rate) {
     snn::SimConfig cfg;
     cfg.timesteps = 4;
     cfg.record_trace = false;  // traces are a deliverable, not steady state
-    cfg.mode = mode;
+    cfg.encoder.max_rate = max_rate;
     snn::Simulator sim(*net_, cfg);
     snn::SimResult result;
     Rng warm_rng(42);
@@ -105,12 +123,14 @@ class AllocationSteadyState : public ::testing::Test {
   std::vector<float> image_;
 };
 
+// Full-rate input: busy layers take full-drive steps.
 TEST_F(AllocationSteadyState, DenseSimulateSecondPresentationAllocatesNothing) {
-  EXPECT_EQ(second_presentation_allocations(snn::ExecutionMode::kDense), 0u);
+  EXPECT_EQ(second_presentation_allocations(1.0), 0u);
 }
 
+// Dim input (~99% sparse): quiet layers take stamped steps.
 TEST_F(AllocationSteadyState, SparseSimulateSecondPresentationAllocatesNothing) {
-  EXPECT_EQ(second_presentation_allocations(snn::ExecutionMode::kSparse), 0u);
+  EXPECT_EQ(second_presentation_allocations(0.05), 0u);
 }
 
 TEST_F(AllocationSteadyState, ExecutorReplaySecondRunAllocatesNothing) {
@@ -118,7 +138,6 @@ TEST_F(AllocationSteadyState, ExecutorReplaySecondRunAllocatesNothing) {
   // against a fixed mapping is counter arithmetic only.
   snn::SimConfig cfg;
   cfg.timesteps = 4;
-  cfg.mode = snn::ExecutionMode::kDense;
   snn::Simulator sim(*net_, cfg);
   Rng rng(43);
   const snn::SpikeTrace trace = sim.run(image_, rng).trace;

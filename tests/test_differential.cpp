@@ -1,6 +1,6 @@
-// Differential fuzz sweep: every execution engine and replay path must
-// agree bit-for-bit on random legal workloads (api/differential.hpp,
-// docs/execution.md).
+// Differential fuzz sweep: the simulation engine must agree bit-for-bit
+// with the dense reference on random legal workloads
+// (api/differential.hpp, docs/execution.md).
 //
 // Two layers of coverage:
 //   * a random sweep over kSweepCount seeds (RESPARC_FUZZ_COUNT=N in the
@@ -76,9 +76,9 @@ TEST(Differential, RegressionCorpusAgrees) {
 }
 
 // Fault injection freezes its per-cell state at program time, so the
-// dense, sparse and packed replay paths must stay bit-for-bit identical
-// on faulted chips exactly as they are on pristine ones.  A smaller
-// sweep than the pristine one: every seed costs a compile per engine.
+// engine's traces and the reference's must replay to bit-for-bit
+// identical reports on faulted chips exactly as on pristine ones.  A
+// smaller sweep than the pristine one: every seed costs a compile.
 TEST(Differential, FaultedReplayEnginesAgree) {
   constexpr std::uint64_t kFaultSweep = 10;
   for (std::uint64_t seed = 0; seed < kFaultSweep; ++seed) {
@@ -91,6 +91,9 @@ TEST(Differential, FaultedReplayEnginesAgree) {
     snn::Simulator sim(net, cfg);
     Rng rng(c.seed ^ 0xd1ffe8e47ull);
     const std::vector<snn::SpikeTrace> traces = {sim.run(c.image, rng).trace};
+    Rng ref_rng(c.seed ^ 0xd1ffe8e47ull);
+    const std::vector<snn::SpikeTrace> ref_traces = {
+        snn::simulate_reference(net, cfg, c.image, ref_rng).trace};
 
     api::BackendOptions options;
     options.resparc.faults.enabled = true;
@@ -103,23 +106,23 @@ TEST(Differential, FaultedReplayEnginesAgree) {
     // the repair pass, and random fuzz topologies need the whole chip.
     options.resparc.faults.failed_density = 1.0;
 
-    const std::string base = "resparc-" + std::to_string(c.mca_size);
-    const auto dense = api::make_accelerator(base, options);
-    dense->load(c.topology);
-    const api::ExecutionReport ref = dense->execute(traces);
+    const auto accel = api::make_accelerator(
+        "resparc-" + std::to_string(c.mca_size), options);
+    accel->load(c.topology);
+    const api::ExecutionReport ref = accel->execute(ref_traces);
+    const api::ExecutionReport r = accel->execute(traces);
     ASSERT_TRUE(ref.faults.has_value()) << c.summary();
-    for (const char* suffix : {"+packed", "+sparse"}) {
-      const auto accel = api::make_accelerator(base + suffix, options);
-      accel->load(c.topology);
-      const api::ExecutionReport r = accel->execute(traces);
-      EXPECT_EQ(r.energy_pj, ref.energy_pj) << c.summary() << suffix;
-      EXPECT_EQ(r.latency_ns, ref.latency_ns) << c.summary() << suffix;
-      ASSERT_TRUE(r.faults.has_value()) << c.summary() << suffix;
-      EXPECT_EQ(r.faults->stuck_off_cells, ref.faults->stuck_off_cells)
-          << c.summary() << suffix;
-      EXPECT_EQ(r.faults->stuck_on_cells, ref.faults->stuck_on_cells)
-          << c.summary() << suffix;
-    }
+    EXPECT_EQ(r.energy_pj, ref.energy_pj) << c.summary();
+    EXPECT_EQ(r.latency_ns, ref.latency_ns) << c.summary();
+    ASSERT_TRUE(r.resparc.has_value()) << c.summary();
+    EXPECT_EQ(r.resparc->events.mca_activations,
+              ref.resparc->events.mca_activations)
+        << c.summary();
+    ASSERT_TRUE(r.faults.has_value()) << c.summary();
+    EXPECT_EQ(r.faults->stuck_off_cells, ref.faults->stuck_off_cells)
+        << c.summary();
+    EXPECT_EQ(r.faults->stuck_on_cells, ref.faults->stuck_on_cells)
+        << c.summary();
   }
 }
 

@@ -174,9 +174,9 @@ TEST(SearchVerifier, MixedSizesInOneNeuroCellAreCaught) {
 
 // ------------------------------------------------------- engine parity --
 
-// Differential sweep over random legal workloads: the searched
-// (potentially mixed-size) program must replay bit-for-bit identically
-// through the dense, sparse and packed engines — the same parity the
+// Differential sweep over random legal workloads: the engine's trace and
+// the dense reference's must replay bit-for-bit identically on the
+// searched (potentially mixed-size) program — the same parity the
 // homogeneous fuzz layer enforces, now over heterogeneous chips.
 TEST(SearchDifferential, MixedSizeProgramsReplayIdenticallyOnAllEngines) {
   constexpr std::uint64_t kSweep = 6;
@@ -201,25 +201,23 @@ TEST(SearchDifferential, MixedSizeProgramsReplayIdenticallyOnAllEngines) {
     snn::Simulator sim(net, cfg);
     Rng rng(c.seed ^ 0x5ea2c4f11ull);
     const std::vector<snn::SpikeTrace> traces = {sim.run(c.image, rng).trace};
+    Rng ref_rng(c.seed ^ 0x5ea2c4f11ull);
+    const std::vector<snn::SpikeTrace> ref_traces = {
+        snn::simulate_reference(net, cfg, c.image, ref_rng).trace};
 
-    const std::string base =
-        "resparc-" + std::to_string(c.mca_size) + "/test-search-fuzz";
-    const auto dense = api::make_accelerator(base);
-    dense->load(c.topology);
-    const api::ExecutionReport ref = dense->execute(traces);
+    const auto accel = api::make_accelerator(
+        "resparc-" + std::to_string(c.mca_size) + "/test-search-fuzz");
+    accel->load(c.topology);
+    const api::ExecutionReport ref = accel->execute(ref_traces);
     for (const auto& lm :
-         dynamic_cast<const api::ResparcBackend&>(*dense).mapping().layers)
+         dynamic_cast<const api::ResparcBackend&>(*accel).mapping().layers)
       if (lm.mca_size != 0) {
         ++mixed_cases;
         break;
       }
-    for (const char* suffix : {"+sparse", "+packed"}) {
-      const auto accel = api::make_accelerator(base + suffix);
-      accel->load(c.topology);
-      const api::ExecutionReport r = accel->execute(traces);
-      EXPECT_EQ(r.energy_pj, ref.energy_pj) << c.summary() << suffix;
-      EXPECT_EQ(r.latency_ns, ref.latency_ns) << c.summary() << suffix;
-    }
+    const api::ExecutionReport r = accel->execute(traces);
+    EXPECT_EQ(r.energy_pj, ref.energy_pj) << c.summary();
+    EXPECT_EQ(r.latency_ns, ref.latency_ns) << c.summary();
   }
   // The sweep must actually exercise heterogeneous mixes somewhere, or
   // the parity claim above is vacuous for mixed-size chips.

@@ -1,19 +1,21 @@
-// Tests of the sparse, spike-event-driven execution engine
-// (snn/sparse_engine.hpp, docs/execution.md):
-//   * dense-vs-sparse bit-for-bit parity across every bundled topology
-//     shape (MLP and CNN, with and without executor event_driven);
+// Tests of the spike-event-driven simulation engine
+// (snn/sparse_engine.hpp, docs/execution.md) and the event records it
+// feeds:
+//   * engine-vs-reference bit-for-bit parity across every bundled
+//     topology shape (MLP and CNN, leaky and paper-scale);
+//   * the per-timestep EventStream of ResparcChip::execute(traces,
+//     &stream) reproducing the aggregated counters, with and without
+//     executor event_driven;
 //   * ActivityTrace accumulation and round-trip serialization;
 //   * the all-zero-input regression: under the event-driven executor an
 //     empty trace must be (almost) free — every array skipped, nothing
-//     transferred, zero cycles;
-//   * the "+<mode>" registry suffix and its error handling.
+//     transferred, zero cycles.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "api/backends.hpp"
 #include "api/pipeline.hpp"
-#include "api/registry.hpp"
+#include "core/resparc.hpp"
 #include "snn/activity.hpp"
 #include "snn/benchmarks.hpp"
 #include "snn/simulator.hpp"
@@ -21,7 +23,6 @@
 namespace resparc {
 namespace {
 
-using api::BackendOptions;
 using api::Pipeline;
 using api::PipelineOptions;
 using api::Workload;
@@ -40,78 +41,78 @@ void expect_traces_equal(const snn::SpikeTrace& a, const snn::SpikeTrace& b) {
   }
 }
 
+constexpr std::uint64_t kSeed = 11;
+
 Workload run_workload(const snn::Topology& topology, snn::DatasetKind kind,
-                      snn::ExecutionMode mode, std::size_t images = 2,
-                      std::size_t timesteps = 8) {
+                      std::size_t images = 2, std::size_t timesteps = 8) {
   PipelineOptions opt;
   opt.images = images;
   opt.timesteps = timesteps;
-  opt.seed = 11;
+  opt.seed = kSeed;
   opt.threads = 1;
-  opt.execution = mode;
   return Pipeline(opt).dataset(kind).topology(topology).run();
 }
 
-// ------------------------------------------------- dense/sparse parity ----
+/// The engine's traces in `w` must equal the dense reference simulation
+/// of the same network, images and presentation seeds.
+void expect_matches_reference(const Workload& w, std::size_t timesteps,
+                              std::uint64_t seed = kSeed) {
+  snn::SimConfig cfg;
+  cfg.timesteps = timesteps;
+  ASSERT_FALSE(w.traces.empty());
+  for (std::size_t i = 0; i < w.traces.size(); ++i) {
+    Rng rng(api::presentation_seed(seed, i));
+    const snn::SimResult want =
+        snn::simulate_reference(w.network, cfg, w.test.images[i], rng);
+    expect_traces_equal(want.trace, w.traces[i]);
+    EXPECT_EQ(want.predicted_class, w.predicted[i]) << "presentation " << i;
+  }
+}
+
+// ---------------------------------------------- engine/reference parity ----
 
 class SparseParity
     : public ::testing::TestWithParam<std::pair<const char*, snn::Topology>> {};
 
 TEST_P(SparseParity, TracesAreBitForBitIdentical) {
-  const snn::Topology& topo = GetParam().second;
-  const Workload dense =
-      run_workload(topo, snn::DatasetKind::kMnistLike, snn::ExecutionMode::kDense);
-  const Workload sparse =
-      run_workload(topo, snn::DatasetKind::kMnistLike, snn::ExecutionMode::kSparse);
-
-  ASSERT_EQ(dense.traces.size(), sparse.traces.size());
-  for (std::size_t i = 0; i < dense.traces.size(); ++i)
-    expect_traces_equal(dense.traces[i], sparse.traces[i]);
-  EXPECT_EQ(dense.predicted, sparse.predicted);
-  EXPECT_DOUBLE_EQ(dense.accuracy, sparse.accuracy);
-  EXPECT_DOUBLE_EQ(dense.mean_activity, sparse.mean_activity);
+  const Workload w =
+      run_workload(GetParam().second, snn::DatasetKind::kMnistLike);
+  expect_matches_reference(w, 8);
 }
 
 TEST_P(SparseParity, ExecutorReportsMatchInBothEventDrivenModes) {
   const snn::Topology& topo = GetParam().second;
-  const Workload w =
-      run_workload(topo, snn::DatasetKind::kMnistLike, snn::ExecutionMode::kSparse);
+  const Workload w = run_workload(topo, snn::DatasetKind::kMnistLike);
 
   for (const bool event_driven : {true, false}) {
-    BackendOptions opt;
-    opt.resparc.event_driven = event_driven;
-    const auto dense = api::make_accelerator("resparc-64", opt);
-    const auto sparse = api::make_accelerator("resparc-64+sparse", opt);
-    dense->load(topo);
-    sparse->load(topo);
-    const api::ExecutionReport rd = dense->execute(w.traces);
-    const api::ExecutionReport rs = sparse->execute(w.traces);
+    core::ResparcConfig config = core::config_with_mca(64);
+    config.event_driven = event_driven;
+    core::ResparcChip chip(config);
+    chip.load(topo);
+    const core::RunReport plain = chip.execute(w.traces);
+    core::EventStream stream;
+    const core::RunReport r = chip.execute(w.traces, &stream);
 
-    // Sparse execution adds timestep resolution, never different totals.
-    EXPECT_DOUBLE_EQ(rd.energy_pj, rs.energy_pj) << "event_driven=" << event_driven;
-    EXPECT_DOUBLE_EQ(rd.latency_ns, rs.latency_ns);
-    ASSERT_TRUE(rd.resparc.has_value());
-    ASSERT_TRUE(rs.resparc.has_value());
-    EXPECT_EQ(rd.resparc->events.mca_activations,
-              rs.resparc->events.mca_activations);
-    EXPECT_EQ(rd.resparc->events.mca_skips, rs.resparc->events.mca_skips);
-    EXPECT_EQ(rd.resparc->events.bus_words, rs.resparc->events.bus_words);
-    EXPECT_EQ(rd.resparc->events.neuron_fires, rs.resparc->events.neuron_fires);
-
-    EXPECT_FALSE(rd.events.has_value());
-    ASSERT_TRUE(rs.events.has_value());
+    // Recording adds timestep resolution, never different totals.
+    EXPECT_EQ(plain.energy.total_pj(), r.energy.total_pj())
+        << "event_driven=" << event_driven;
+    EXPECT_EQ(plain.perf.cycles_pipelined, r.perf.cycles_pipelined);
+    EXPECT_EQ(plain.events.mca_activations, r.events.mca_activations);
+    EXPECT_EQ(plain.events.mca_skips, r.events.mca_skips);
+    EXPECT_EQ(plain.events.bus_words, r.events.bus_words);
+    EXPECT_EQ(plain.events.neuron_fires, r.events.neuron_fires);
 
     // The stream is the same record at timestep resolution: its totals
     // must reproduce the aggregated counters exactly.
-    const core::StepEvents total = rs.events->total();
-    EXPECT_EQ(total.mca_reads, rs.resparc->events.mca_activations);
-    EXPECT_EQ(total.mca_skips, rs.resparc->events.mca_skips);
-    EXPECT_EQ(total.words_sent, rs.resparc->events.bus_words +
-                                    rs.resparc->events.switch_flits);
+    ASSERT_FALSE(stream.empty());
+    const core::StepEvents total = stream.total();
+    EXPECT_EQ(total.mca_reads, r.events.mca_activations);
+    EXPECT_EQ(total.mca_skips, r.events.mca_skips);
+    EXPECT_EQ(total.words_sent, r.events.bus_words + r.events.switch_flits);
     std::size_t layer_fires = 0;
-    for (std::size_t s = 1; s < rs.events->stages(); ++s)
-      layer_fires += rs.events->stage_total(s).neuron_fires;
-    EXPECT_EQ(layer_fires, rs.resparc->events.neuron_fires);
+    for (std::size_t s = 1; s < stream.stages(); ++s)
+      layer_fires += stream.stage_total(s).neuron_fires;
+    EXPECT_EQ(layer_fires, r.events.neuron_fires);
   }
 }
 
@@ -127,19 +128,13 @@ INSTANTIATE_TEST_SUITE_P(
 // Paper-scale shapes, one image each, so the parity claim covers the
 // exact benchmark topologies too (conv sliced + windowed + pool paths).
 TEST(SparseParityPaperScale, MnistMlpAndCnn) {
-  for (const snn::BenchmarkSpec& spec : {snn::mnist_mlp(), snn::mnist_cnn()}) {
-    const Workload dense = run_workload(spec.topology, spec.dataset,
-                                        snn::ExecutionMode::kDense, 1, 6);
-    const Workload sparse = run_workload(spec.topology, spec.dataset,
-                                         snn::ExecutionMode::kSparse, 1, 6);
-    ASSERT_EQ(dense.traces.size(), sparse.traces.size());
-    for (std::size_t i = 0; i < dense.traces.size(); ++i)
-      expect_traces_equal(dense.traces[i], sparse.traces[i]);
-  }
+  for (const snn::BenchmarkSpec& spec : {snn::mnist_mlp(), snn::mnist_cnn()})
+    expect_matches_reference(run_workload(spec.topology, spec.dataset, 1, 6),
+                             6);
 }
 
-// Leaky populations fall back to the dense neuron update inside the
-// sparse engine; the result must still be identical.
+// Leaky populations fall back to the whole-population neuron update
+// inside the engine; the result must still be identical.
 TEST(SparseParity, LeakyNetworkFallsBackBitForBit) {
   snn::Network net(snn::small_mlp_topology(snn::DatasetKind::kMnistLike));
   Rng init(3);
@@ -152,18 +147,9 @@ TEST(SparseParity, LeakyNetworkFallsBackBitForBit) {
   opt.images = 2;
   opt.timesteps = 8;
   opt.threads = 1;
-  Workload dense = Pipeline(opt)
-                       .dataset(snn::DatasetKind::kMnistLike)
-                       .network(net)
-                       .run();
-  opt.execution = snn::ExecutionMode::kSparse;
-  Workload sparse = Pipeline(opt)
-                        .dataset(snn::DatasetKind::kMnistLike)
-                        .network(net)
-                        .run();
-  ASSERT_EQ(dense.traces.size(), sparse.traces.size());
-  for (std::size_t i = 0; i < dense.traces.size(); ++i)
-    expect_traces_equal(dense.traces[i], sparse.traces[i]);
+  const Workload w =
+      Pipeline(opt).dataset(snn::DatasetKind::kMnistLike).network(net).run();
+  expect_matches_reference(w, 8, opt.seed);
 }
 
 // ------------------------------------------------------- activity trace ----
@@ -171,7 +157,7 @@ TEST(SparseParity, LeakyNetworkFallsBackBitForBit) {
 TEST(ActivityTrace, AccumulatesAndMatchesMeanActivity) {
   const Workload w =
       run_workload(snn::small_mlp_topology(snn::DatasetKind::kMnistLike),
-                   snn::DatasetKind::kMnistLike, snn::ExecutionMode::kSparse, 3);
+                   snn::DatasetKind::kMnistLike, 3);
   ASSERT_EQ(w.activity.presentations, w.traces.size());
   ASSERT_EQ(w.activity.layer_count(), w.traces.front().layer_count());
   EXPECT_NEAR(w.activity.mean_activity(), w.mean_activity, 1e-12);
@@ -183,7 +169,7 @@ TEST(ActivityTrace, AccumulatesAndMatchesMeanActivity) {
 TEST(ActivityTrace, RoundTripsThroughSerialization) {
   const Workload w =
       run_workload(snn::small_cnn_topology(snn::DatasetKind::kMnistLike),
-                   snn::DatasetKind::kMnistLike, snn::ExecutionMode::kSparse, 2);
+                   snn::DatasetKind::kMnistLike, 2);
   std::stringstream ss;
   w.activity.save(ss);
   const snn::ActivityTrace loaded = snn::ActivityTrace::load(ss);
@@ -213,10 +199,10 @@ TEST(ActivityTrace, RejectsMalformedStreams) {
 TEST(ActivityTrace, RejectsMismatchedAccumulation) {
   const Workload mlp =
       run_workload(snn::small_mlp_topology(snn::DatasetKind::kMnistLike),
-                   snn::DatasetKind::kMnistLike, snn::ExecutionMode::kDense, 1);
+                   snn::DatasetKind::kMnistLike, 1);
   const Workload cnn =
       run_workload(snn::small_cnn_topology(snn::DatasetKind::kMnistLike),
-                   snn::DatasetKind::kMnistLike, snn::ExecutionMode::kDense, 1);
+                   snn::DatasetKind::kMnistLike, 1);
   snn::ActivityTrace acc = snn::ActivityTrace::from_trace(mlp.traces.front());
   EXPECT_THROW(acc.add(cnn.traces.front()), snn::ActivityError);
 }
@@ -238,11 +224,11 @@ TEST(ZeroInputRegression, EmptyTraceIsAlmostFree) {
   for (std::size_t l = 0; l < topo.layer_count(); ++l)
     empty.layers[l + 1].assign(T, snn::SpikeVector(topo.layers()[l].neurons));
 
-  const auto accel = api::make_accelerator("resparc-64+sparse");
-  accel->load(topo);
-  const api::ExecutionReport r = accel->execute(empty);
-  ASSERT_TRUE(r.resparc.has_value());
-  const core::EventCounts& ev = r.resparc->events;
+  core::ResparcChip chip(core::config_with_mca(64));
+  chip.load(topo);
+  core::EventStream stream;
+  const core::RunReport r = chip.execute({&empty, 1}, &stream);
+  const core::EventCounts& ev = r.events;
 
   EXPECT_EQ(ev.mca_activations, 0u);
   EXPECT_EQ(ev.bus_words, 0u);
@@ -255,77 +241,21 @@ TEST(ZeroInputRegression, EmptyTraceIsAlmostFree) {
   EXPECT_EQ(ev.buffer_bits, 0u);
 
   // Every array of every layer is skipped on every step.
-  const auto* backend = dynamic_cast<const api::ResparcBackend*>(accel.get());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_EQ(ev.mca_skips, backend->mapping().total_mcas * T);
+  EXPECT_EQ(ev.mca_skips, chip.mapping().total_mcas * T);
 
   // No stage ever advances: zero cycles, zero latency, zero leakage
   // window — and the recorded event stream is idle in every cell.
-  EXPECT_DOUBLE_EQ(r.resparc->perf.cycles_pipelined, 0.0);
-  EXPECT_DOUBLE_EQ(r.latency_ns, 0.0);
-  EXPECT_DOUBLE_EQ(r.resparc->energy.crossbar_pj, 0.0);
-  EXPECT_DOUBLE_EQ(r.resparc->energy.neuron_pj, 0.0);
-  EXPECT_DOUBLE_EQ(r.resparc->energy.buffer_pj, 0.0);
-  EXPECT_DOUBLE_EQ(r.resparc->energy.comm_pj, 0.0);
-  EXPECT_DOUBLE_EQ(r.resparc->energy.leakage_pj, 0.0);
-  ASSERT_TRUE(r.events.has_value());
-  for (std::size_t t = 0; t < r.events->timesteps(); ++t)
-    for (std::size_t s = 0; s < r.events->stages(); ++s)
-      EXPECT_TRUE(r.events->at(t, s).idle()) << "t=" << t << " stage=" << s;
-}
-
-// ------------------------------------------------------ registry suffix ----
-
-TEST(RegistryModes, SparseSuffixSelectsSparseExecution) {
-  const auto accel = api::make_accelerator("resparc-64+sparse");
-  const auto* backend = dynamic_cast<const api::ResparcBackend*>(accel.get());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_EQ(backend->execution(), snn::ExecutionMode::kSparse);
-  EXPECT_EQ(accel->name(), "RESPARC-64+sparse");
-}
-
-TEST(RegistryModes, StrategyAndModeSuffixesCompose) {
-  const auto accel = api::make_accelerator("resparc-128/greedy-pack+sparse");
-  const auto* backend = dynamic_cast<const api::ResparcBackend*>(accel.get());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_EQ(backend->execution(), snn::ExecutionMode::kSparse);
-  EXPECT_EQ(backend->strategy(), "greedy-pack");
-  EXPECT_EQ(backend->config().mca_size, 128u);
-  EXPECT_EQ(accel->name(), "RESPARC-128/greedy-pack+sparse");
-}
-
-TEST(RegistryModes, DenseSuffixIsTheDefaultMode) {
-  const auto accel = api::make_accelerator("resparc-64+dense");
-  const auto* backend = dynamic_cast<const api::ResparcBackend*>(accel.get());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_EQ(backend->execution(), snn::ExecutionMode::kDense);
-  EXPECT_EQ(accel->name(), "RESPARC-64");
-}
-
-TEST(RegistryModes, OptionsSelectTheModeWithoutASuffix) {
-  BackendOptions opt;
-  opt.execution = snn::ExecutionMode::kSparse;
-  const auto accel = api::make_accelerator("resparc-64", opt);
-  const auto* backend = dynamic_cast<const api::ResparcBackend*>(accel.get());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_EQ(backend->execution(), snn::ExecutionMode::kSparse);
-}
-
-TEST(RegistryModes, UnknownModeIsRejectedWithTheModeList) {
-  try {
-    api::make_accelerator("resparc-64+bogus");
-    FAIL() << "expected BackendError";
-  } catch (const api::BackendError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("bogus"), std::string::npos);
-    EXPECT_NE(what.find("dense"), std::string::npos);
-    EXPECT_NE(what.find("sparse"), std::string::npos);
-  }
-  EXPECT_THROW(api::make_accelerator("resparc-64+"), api::BackendError);
-}
-
-TEST(RegistryModes, BackendsWithoutModeSupportRejectTheSuffix) {
-  EXPECT_THROW(api::make_accelerator("cmos+sparse"), api::BackendError);
+  EXPECT_DOUBLE_EQ(r.perf.cycles_pipelined, 0.0);
+  EXPECT_DOUBLE_EQ(r.perf.latency_pipelined_ns(), 0.0);
+  EXPECT_DOUBLE_EQ(r.energy.crossbar_pj, 0.0);
+  EXPECT_DOUBLE_EQ(r.energy.neuron_pj, 0.0);
+  EXPECT_DOUBLE_EQ(r.energy.buffer_pj, 0.0);
+  EXPECT_DOUBLE_EQ(r.energy.comm_pj, 0.0);
+  EXPECT_DOUBLE_EQ(r.energy.leakage_pj, 0.0);
+  ASSERT_EQ(stream.timesteps(), T);
+  for (std::size_t t = 0; t < stream.timesteps(); ++t)
+    for (std::size_t s = 0; s < stream.stages(); ++s)
+      EXPECT_TRUE(stream.at(t, s).idle()) << "t=" << t << " stage=" << s;
 }
 
 }  // namespace

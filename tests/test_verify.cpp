@@ -5,6 +5,7 @@
 // catalog these tests pin.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -117,14 +118,19 @@ TEST(VerifyClean, AllStrategiesVerifyCleanAtPaperScale) {
   }
 }
 
-TEST(VerifyClean, CommittedGoldenBlobVerifies) {
+// The committed golden fixture (MNIST MLP at MCA 64).
+std::string golden_blob() {
   const std::string path = std::string(RESPARC_SOURCE_DIR) +
                            "/tests/data/golden_mnist_mlp_mca64.rcp";
   std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in) << "missing golden fixture " << path;
+  EXPECT_TRUE(in) << "missing golden fixture " << path;
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const VerifyReport report = verify_blob_auto(buffer.str());
+  return buffer.str();
+}
+
+TEST(VerifyClean, CommittedGoldenBlobVerifies) {
+  const VerifyReport report = verify_blob_auto(golden_blob());
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
@@ -184,6 +190,29 @@ TEST(VerifyTamper, EditedRouteTableIsCaughtByTheRoutingPass) {
     FAIL() << "load() must reject the tampered route table";
   } catch (const VerifyError& e) {
     EXPECT_EQ(e.code(), "RV-ROUTE-TREE-HOPS");
+  }
+}
+
+// A corrupt NeuroCell total must be rejected promptly, before any loop or
+// allocation scales with it: -1 parses as SIZE_MAX, and 999999999 would
+// size a multi-gigabyte per-cell table.
+TEST(VerifyTamper, CorruptNeuroCellTotalIsRejectedPromptly) {
+  for (const char* total : {"-1", "999999999"}) {
+    const std::string blob =
+        tampered(golden_blob(), "totals 351 90 6 ",
+                 std::string("totals 351 90 ") + total + " ");
+    const auto start = std::chrono::steady_clock::now();
+    std::istringstream is(blob);
+    try {
+      CompiledProgram::load(is, core::default_config());
+      ADD_FAILURE() << "load() must reject total_neurocells " << total;
+    } catch (const VerifyError& e) {
+      EXPECT_EQ(e.code(), "RV-CONS-TOTALS") << total << ": " << e.what();
+    }
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_LT(seconds, 0.5) << total;
   }
 }
 
