@@ -71,17 +71,28 @@ void expect_matches_reference(const Workload& w, std::size_t timesteps,
 
 // ---------------------------------------------- engine/reference parity ----
 
-class SparseParity
-    : public ::testing::TestWithParam<std::pair<const char*, snn::Topology>> {};
+struct BundledCase {
+  const char* name;
+  snn::Topology topology;
+};
+
+// Prints only the case name, so the listed test names are the same on
+// every build (gtest's default would print the name's address and the
+// topology's raw bytes, heap pointers included).
+void PrintTo(const BundledCase& c, std::ostream* os) {
+  *os << '(' << c.name << ')';
+}
+
+class SparseParity : public ::testing::TestWithParam<BundledCase> {};
 
 TEST_P(SparseParity, TracesAreBitForBitIdentical) {
   const Workload w =
-      run_workload(GetParam().second, snn::DatasetKind::kMnistLike);
+      run_workload(GetParam().topology, snn::DatasetKind::kMnistLike);
   expect_matches_reference(w, 8);
 }
 
 TEST_P(SparseParity, ExecutorReportsMatchInBothEventDrivenModes) {
-  const snn::Topology& topo = GetParam().second;
+  const snn::Topology& topo = GetParam().topology;
   const Workload w = run_workload(topo, snn::DatasetKind::kMnistLike);
 
   for (const bool event_driven : {true, false}) {
@@ -119,11 +130,11 @@ TEST_P(SparseParity, ExecutorReportsMatchInBothEventDrivenModes) {
 INSTANTIATE_TEST_SUITE_P(
     BundledTopologies, SparseParity,
     ::testing::Values(
-        std::pair<const char*, snn::Topology>{
-            "small_mlp", snn::small_mlp_topology(snn::DatasetKind::kMnistLike)},
-        std::pair<const char*, snn::Topology>{
-            "small_cnn", snn::small_cnn_topology(snn::DatasetKind::kMnistLike)}),
-    [](const auto& info) { return std::string(info.param.first); });
+        BundledCase{"small_mlp",
+                    snn::small_mlp_topology(snn::DatasetKind::kMnistLike)},
+        BundledCase{"small_cnn",
+                    snn::small_cnn_topology(snn::DatasetKind::kMnistLike)}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // Paper-scale shapes, one image each, so the parity claim covers the
 // exact benchmark topologies too (conv sliced + windowed + pool paths).
