@@ -8,9 +8,11 @@
 // unchanged thresholds quiets every downstream layer, exactly the regime
 // where event-driven execution pays (paper section 3.2, Fig. 13).  For
 // each sparsity level the bench reports measured input sparsity and mean
-// activity (snn::ActivityTrace), the engine's traces/sec, and its
-// speedup over the full-rate row; throughput must rise monotonically
-// with sparsity as the engine trades full-drive steps for stamped ones.
+// activity (snn::ActivityTrace), the traces/sec of the engine and of the
+// dense reference loop (snn::simulate_reference, which steps every
+// neuron every step), and the engine's speedup over the reference.
+// Engine throughput must rise monotonically with sparsity as it trades
+// full-drive steps for stamped ones.
 // Results go to stdout and bench/trajectory/bench_sparse_execution.json
 // (the trajectory envelope of bench/trajectory/README.md).
 //
@@ -40,20 +42,24 @@ struct Row {
   double rate = 1.0;          ///< encoder max_rate scale
   double input_sparsity = 0;  ///< measured 1 - input activity
   double mean_activity = 0;   ///< measured spikes/neuron/step, all layers
-  double engine_tps = 0;      ///< traces/sec
-  double speedup = 0;         ///< engine_tps / the full-rate row's
+  double engine_tps = 0;      ///< Simulator::run traces/sec
+  double reference_tps = 0;   ///< snn::simulate_reference traces/sec
+  double speedup = 0;         ///< engine_tps / reference_tps
 };
 
-double time_engine(const api::Workload& w, const snn::SimConfig& base,
-                   std::size_t images, std::size_t repeats) {
+/// Traces/sec of `simulate` (engine or reference) over the workload's
+/// first `images` test images, `repeats` times each.
+template <class Simulate>
+double time_traces(const api::Workload& w, const snn::SimConfig& base,
+                   std::size_t images, std::size_t repeats,
+                   Simulate simulate) {
   snn::SimConfig cfg = base;
   cfg.record_trace = false;
   const auto start = Clock::now();
   for (std::size_t r = 0; r < repeats; ++r) {
     for (std::size_t i = 0; i < images; ++i) {
       Rng rng(api::presentation_seed(bench::bench_seed(), i));
-      snn::Simulator sim(w.network, cfg);
-      (void)sim.run(w.test.images[i], rng);
+      (void)simulate(cfg, w.test.images[i], rng);
     }
   }
   const double seconds =
@@ -101,15 +107,23 @@ int main() {
     row.rate = rate;
     row.input_sparsity = activity.input_sparsity();
     row.mean_activity = activity.mean_activity();
-    row.engine_tps = time_engine(w, cfg, images, repeats);
-    row.speedup = row.engine_tps / (rows.empty() ? row.engine_tps
-                                                 : rows.front().engine_tps);
+    row.engine_tps = time_traces(
+        w, cfg, images, repeats,
+        [&](const snn::SimConfig& c, const std::vector<float>& img, Rng& rng) {
+          return snn::Simulator(w.network, c).run(img, rng);
+        });
+    row.reference_tps = time_traces(
+        w, cfg, images, repeats,
+        [&](const snn::SimConfig& c, const std::vector<float>& img, Rng& rng) {
+          return snn::simulate_reference(w.network, c, img, rng);
+        });
+    row.speedup = row.engine_tps / row.reference_tps;
     rows.push_back(row);
 
     std::printf("rate %4.2f | input sparsity %5.1f%% | activity %6.4f | "
-                "engine %8.1f tr/s | vs full rate %5.2fx\n",
+                "engine %8.1f tr/s | reference %8.1f tr/s | speedup %5.2fx\n",
                 row.rate, 100.0 * row.input_sparsity, row.mean_activity,
-                row.engine_tps, row.speedup);
+                row.engine_tps, row.reference_tps, row.speedup);
   }
 
   std::ostringstream config;
@@ -124,6 +138,7 @@ int main() {
             << ", \"input_sparsity\": " << Table::num(r.input_sparsity, 4)
             << ", \"mean_activity\": " << Table::num(r.mean_activity, 5)
             << ", \"engine_tps\": " << Table::num(r.engine_tps, 1)
+            << ", \"reference_tps\": " << Table::num(r.reference_tps, 1)
             << ", \"speedup\": " << Table::num(r.speedup, 2) << "}"
             << (i + 1 < rows.size() ? "," : "") << "\n";
   }

@@ -175,7 +175,8 @@ Workload Pipeline::run() {
     // one, so results stay thread-count invariant).  When a single
     // presentation dominates latency (n == 1, the paper-scale CNN case)
     // the requested parallelism goes INSIDE the trace instead: the
-    // simulator partitions each big layer's scatter over the pool.
+    // simulator partitions the scatter of each big layer's full-drive
+    // steps over the pool.
     ThreadPool& pool = ThreadPool::global();
     const std::size_t requested = resolve_threads(options_.threads, n);
     std::vector<std::unique_ptr<snn::Simulator>> sims(pool.width());

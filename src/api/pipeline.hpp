@@ -139,7 +139,7 @@ class Pipeline {
                                  std::size_t threads = 0);
 
   /// Replays each trace individually into `out[i]` (resized to
-  /// traces.size()), fanning contiguous chunks over the global pool when
+  /// traces.size()), one trace per parallel_for index when
   /// threads != 1.  The execute-into form the serving layer batches over:
   /// per-trace reports survive, so callers can attribute latency/energy
   /// to individual requests instead of a merged aggregate.  out[i] is

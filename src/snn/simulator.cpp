@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "snn/scatter.hpp"
 #include "snn/sparse_engine.hpp"
 
@@ -25,6 +24,50 @@ void begin_result(const Topology& topo, std::size_t T, bool record_trace,
   out.total_spikes = 0;
 }
 
+/// The naive dense layer step shared by simulate_reference and
+/// observe_currents: fresh populations for the first `layers` layers,
+/// every neuron stepped every step (index-list scatter, byte-output
+/// IfPopulation::step).
+class DenseLayers {
+ public:
+  DenseLayers(const Network& net, std::size_t layers) : net_(net) {
+    for (std::size_t l = 0; l < layers; ++l) {
+      const std::size_t n = net.topology().layers()[l].neurons;
+      pops_.emplace_back(n, net.layer(l).neuron);
+      currents_.emplace_back(n, 0.0f);
+      spike_bytes_.emplace_back(n, std::uint8_t{0});
+    }
+    spikes_.resize(layers);
+  }
+
+  /// Scatters `in` into layer `l`'s current buffer (zeroed first) and
+  /// returns it.
+  const std::vector<float>& accumulate(std::size_t l, const SpikeVector& in) {
+    active_.clear();
+    in.append_active(active_);
+    std::fill(currents_[l].begin(), currents_[l].end(), 0.0f);
+    scatter_accumulate(net_.topology().layers()[l], net_.layer(l).weights,
+                       active_, currents_[l]);
+    return currents_[l];
+  }
+
+  /// Steps layer `l` on its accumulated current; returns its spikes,
+  /// valid until the layer's next fire().
+  const SpikeVector& fire(std::size_t l) {
+    pops_[l].step(currents_[l], spike_bytes_[l]);
+    spikes_[l] = SpikeVector::from_bytes(spike_bytes_[l]);
+    return spikes_[l];
+  }
+
+ private:
+  const Network& net_;
+  std::vector<IfPopulation> pops_;
+  std::vector<std::vector<float>> currents_;
+  std::vector<std::vector<std::uint8_t>> spike_bytes_;
+  std::vector<SpikeVector> spikes_;
+  std::vector<std::uint32_t> active_;
+};
+
 /// Argmax of the output spike counts (first maximum wins).
 std::size_t argmax(const std::vector<std::size_t>& counts) {
   return static_cast<std::size_t>(std::distance(
@@ -40,13 +83,14 @@ Simulator::Simulator(const Network& net, SimConfig config)
 
 Simulator::~Simulator() = default;
 
+SparseEngine& Simulator::engine() {
+  if (!engine_) engine_ = std::make_unique<SparseEngine>(net_);
+  return *engine_;
+}
+
 void Simulator::set_pool(ThreadPool* pool, std::size_t parts,
                          std::size_t min_outputs) {
-  pool_ = pool;
-  pool_parts_ = pool == nullptr ? 1
-               : parts == 0    ? pool->width()
-                               : std::min(parts, pool->width());
-  pool_min_outputs_ = min_outputs;
+  engine().set_pool(pool, parts, min_outputs);
 }
 
 SimResult Simulator::run(std::span<const float> image, Rng& rng) {
@@ -63,11 +107,8 @@ void Simulator::run(std::span<const float> image, Rng& rng, SimResult& out) {
   begin_result(topo, T, config_.record_trace, out);
   encoder_.encode_into(image, T, rng, input_spikes_);
 
-  if (!engine_)
-    engine_ = std::make_unique<SparseEngine>(net_);
-  else
-    engine_->reset();
-  engine_->set_pool(pool_, pool_parts_, pool_min_outputs_);
+  SparseEngine& engine = this->engine();
+  engine.reset();
 
   for (std::size_t t = 0; t < T; ++t) {
     const SpikeVector* spikes = &input_spikes_[t];
@@ -75,8 +116,8 @@ void Simulator::run(std::span<const float> image, Rng& rng, SimResult& out) {
     out.total_spikes += events;
     if (config_.record_trace) out.trace.layers[0].push_back(*spikes);
     for (std::size_t l = 0; l < topo.layer_count(); ++l) {
-      spikes = &engine_->step_layer(l, *spikes, events);
-      events = engine_->last_fired(l);
+      spikes = &engine.step_layer(l, *spikes, events);
+      events = engine.last_fired(l);
       out.total_spikes += events;
       if (config_.record_trace) out.trace.layers[l + 1].push_back(*spikes);
     }
@@ -97,33 +138,17 @@ SimResult simulate_reference(const Network& net, const SimConfig& config,
   SimResult result;
   begin_result(topo, T, config.record_trace, result);
 
-  std::vector<IfPopulation> pops;
-  std::vector<std::vector<float>> currents;
-  std::vector<std::vector<std::uint8_t>> spike_bytes;
-  for (std::size_t l = 0; l < topo.layer_count(); ++l) {
-    const std::size_t n = topo.layers()[l].neurons;
-    pops.emplace_back(n, net.layer(l).neuron);
-    currents.emplace_back(n, 0.0f);
-    spike_bytes.emplace_back(n, std::uint8_t{0});
-  }
+  DenseLayers dense(net, topo.layer_count());
   const std::vector<SpikeVector> input =
       RateEncoder(config.encoder).encode(image, T, rng);
-  std::vector<SpikeVector> layer_spikes(topo.layer_count());
-  std::vector<std::uint32_t> active;
 
   for (std::size_t t = 0; t < T; ++t) {
     const SpikeVector* prev = &input[t];
     result.total_spikes += prev->count();
     if (config.record_trace) result.trace.layers[0].push_back(*prev);
     for (std::size_t l = 0; l < topo.layer_count(); ++l) {
-      active.clear();
-      prev->append_active(active);
-      std::fill(currents[l].begin(), currents[l].end(), 0.0f);
-      scatter_accumulate(topo.layers()[l], net.layer(l).weights, active,
-                         currents[l]);
-      pops[l].step(currents[l], spike_bytes[l]);
-      layer_spikes[l] = SpikeVector::from_bytes(spike_bytes[l]);
-      prev = &layer_spikes[l];
+      dense.accumulate(l, *prev);
+      prev = &dense.fire(l);
       result.total_spikes += prev->count();
       if (config.record_trace) result.trace.layers[l + 1].push_back(*prev);
     }
@@ -140,37 +165,17 @@ void Simulator::observe_currents(std::span<const float> image, Rng& rng,
   const Topology& topo = net_.topology();
   require(layer < topo.layer_count(), "observe_currents: layer out of range");
 
-  std::vector<IfPopulation> pops;
-  std::vector<std::vector<float>> currents;
-  std::vector<std::vector<std::uint8_t>> spike_bytes;
-  for (std::size_t l = 0; l <= layer; ++l) {
-    const std::size_t n = topo.layers()[l].neurons;
-    pops.emplace_back(n, net_.layer(l).neuron);
-    currents.emplace_back(n, 0.0f);
-    spike_bytes.emplace_back(n, std::uint8_t{0});
-  }
-
+  DenseLayers dense(net_, layer + 1);
   const auto input_spikes = encoder_.encode(image, config_.timesteps, rng);
-  std::vector<SpikeVector> prev_holder(layer + 1);
-  std::vector<std::uint32_t> active;
 
   for (std::size_t t = 0; t < config_.timesteps; ++t) {
     const SpikeVector* prev = &input_spikes[t];
-    for (std::size_t l = 0; l <= layer; ++l) {
-      active.clear();
-      prev->append_active(active);
-      std::fill(currents[l].begin(), currents[l].end(), 0.0f);
-      scatter_accumulate(topo.layers()[l], net_.layer(l).weights, active,
-                         currents[l]);
-      if (l == layer) {
-        samples_out.insert(samples_out.end(), currents[l].begin(),
-                           currents[l].end());
-        break;
-      }
-      pops[l].step(currents[l], spike_bytes[l]);
-      prev_holder[l] = SpikeVector::from_bytes(spike_bytes[l]);
-      prev = &prev_holder[l];
+    for (std::size_t l = 0; l < layer; ++l) {
+      dense.accumulate(l, *prev);
+      prev = &dense.fire(l);
     }
+    const std::vector<float>& current = dense.accumulate(layer, *prev);
+    samples_out.insert(samples_out.end(), current.begin(), current.end());
   }
 }
 

@@ -89,16 +89,15 @@ class Simulator {
   SimConfig config_;
   RateEncoder encoder_;
 
-  // Within-trace parallelism (set_pool), handed to the engine each run.
-  ThreadPool* pool_ = nullptr;
-  std::size_t pool_parts_ = 1;
-  std::size_t pool_min_outputs_ = kMinPooledOutputs;
-
   // Per-presentation scratch, hoisted so the steady state is
   // allocation-free (buffers only ever grow).
   std::vector<SpikeVector> input_spikes_;      ///< encoded input
   std::vector<std::uint32_t> output_active_;   ///< output-layer spikes
-  std::unique_ptr<SparseEngine> engine_;       ///< built on first run
+  std::unique_ptr<SparseEngine> engine_;       ///< built on first use
+
+  /// The engine, built on first use (calibration's observe_currents
+  /// never needs one).
+  SparseEngine& engine();
 };
 
 /// Reference semantics of Simulator::run: the naive dense loop that

@@ -47,6 +47,8 @@ SparseEngine::SparseEngine(const Network& net) : net_(net) {
 
 void SparseEngine::set_pool(ThreadPool* pool, std::size_t parts,
                             std::size_t min_outputs) {
+  if (pool != nullptr)
+    parts = parts == 0 ? pool->width() : std::min(parts, pool->width());
   pool_ = parts > 1 ? pool : nullptr;
   pool_parts_ = pool_ != nullptr ? parts : 1;
   pool_min_outputs_ = min_outputs;

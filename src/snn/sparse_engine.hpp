@@ -60,7 +60,7 @@ class SparseEngine {
 
   /// Spreads the scatter of full-drive steps on layers with at least
   /// `min_outputs` neurons over `parts` output partitions on `pool`
-  /// (nullptr or parts <= 1 = serial).  Results are bit-for-bit
+  /// (0 = pool width, capped at it; nullptr or one part = serial).  Results are bit-for-bit
   /// identical for any setting: each output element is written by one
   /// partition in the serial order.
   void set_pool(ThreadPool* pool, std::size_t parts, std::size_t min_outputs);

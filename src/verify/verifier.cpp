@@ -292,9 +292,10 @@ void capacity_pass(const CompiledProgram& p, const VerifyOptions& options,
   // legal array size, and one NeuroCell never holds arrays of two sizes
   // (the peripheral pitch of a cell is fixed at fabrication).
   // Resolved size per occupied NC, 0 = free.  Sized from the placement,
-  // never more than the claimed total: both are unchecked blob fields
-  // here (consistency_pass reports a bad total), so neither alone may
-  // size an allocation.
+  // never more than the claimed total, so a corrupt `totals` line alone
+  // cannot size it (consistency_pass reports that as RV-CONS-TOTALS).  A
+  // blob whose placement and totals agree on a huge chip still sizes it:
+  // nothing in the config bounds a chip's NeuroCell count.
   std::vector<std::size_t> nc_size(
       std::min(placed_neurocells(m), m.total_neurocells), 0);
 

@@ -141,9 +141,11 @@ std::pair<std::size_t, std::size_t> step_regimes(const snn::Topology& topo,
 
 /// Runs one small-CNN presentation (uniform threshold `vth`) at encoder
 /// `max_rate` serially and with every layer partitioned over a pool; the
-/// traces must match bit-for-bit.  Returns the pooled run's step regimes.
-std::pair<std::size_t, std::size_t> expect_pooled_matches_serial(
-    double max_rate, double vth) {
+/// traces must match bit-for-bit.  Stores the pooled run's step regimes
+/// in `regimes` (an out-parameter so ASSERT_* can stop the check).
+void expect_pooled_matches_serial(
+    double max_rate, double vth,
+    std::pair<std::size_t, std::size_t>& regimes) {
   const snn::Topology topo =
       snn::small_cnn_topology(snn::DatasetKind::kMnistLike);
   snn::Network net(topo);
@@ -168,24 +170,25 @@ std::pair<std::size_t, std::size_t> expect_pooled_matches_serial(
 
   EXPECT_EQ(got.output_spike_counts, want.output_spike_counts);
   EXPECT_EQ(got.total_spikes, want.total_spikes);
-  EXPECT_EQ(got.trace.layers.size(), want.trace.layers.size());
+  ASSERT_EQ(got.trace.layers.size(), want.trace.layers.size());
   for (std::size_t l = 0; l < want.trace.layers.size(); ++l) {
     for (std::size_t t = 0; t < want.trace.layers[l].size(); ++t) {
       const auto a = got.trace.layers[l][t].words();
       const auto b = want.trace.layers[l][t].words();
-      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
           << "max_rate " << max_rate << " layer " << l << " step " << t;
     }
   }
-  return step_regimes(topo, got.trace);
+  regimes = step_regimes(topo, got.trace);
 }
 
 TEST(ThreadPool, WithinTracePartitioningIsBitForBit) {
   // A simulator spreading its full-drive scatter over pool partitions
   // must produce the exact trace of the serial run (the partitioned
   // scatter is element-order preserving; docs/performance.md).
-  const auto [stamped, full] = expect_pooled_matches_serial(1.0, 1.2);
-  EXPECT_GT(full, 0u);
+  std::pair<std::size_t, std::size_t> regimes;
+  expect_pooled_matches_serial(1.0, 1.2, regimes);
+  EXPECT_GT(regimes.second, 0u) << "no full-drive step ran";
 }
 
 TEST(ThreadPool, WithinTracePartitioningIsBitForBitOnDimInput) {
@@ -194,9 +197,10 @@ TEST(ThreadPool, WithinTracePartitioningIsBitForBitOnDimInput) {
   // branches run under set_pool in one presentation and must match the
   // serial run.  The lower threshold lets the dim activity reach the
   // dense layers at all.
-  const auto [stamped, full] = expect_pooled_matches_serial(0.05, 0.5);
-  EXPECT_GT(stamped, 0u);
-  EXPECT_GT(full, 0u);
+  std::pair<std::size_t, std::size_t> regimes;
+  expect_pooled_matches_serial(0.05, 0.5, regimes);
+  EXPECT_GT(regimes.first, 0u) << "no stamped step ran";
+  EXPECT_GT(regimes.second, 0u) << "no full-drive step ran";
 }
 
 TEST(ThreadPool, PipelineSinglePresentationUsesPoolDeterministically) {

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "common/error.hpp"
@@ -123,7 +124,7 @@ std::string golden_blob() {
   const std::string path = std::string(RESPARC_SOURCE_DIR) +
                            "/tests/data/golden_mnist_mlp_mca64.rcp";
   std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in) << "missing golden fixture " << path;
+  if (!in) throw std::runtime_error("missing golden fixture " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
