@@ -1,9 +1,9 @@
 // Ablation — mapping strategies across the compile layer.
 //
 // RESPARC's reconfigurability claim (section 3.1, Fig. 12c) makes the
-// topology→fabric mapping a degree of freedom.  This ablation runs every
-// registered compile::MappingStrategy (the one-shot "paper",
-// "greedy-pack", "balanced" plus the search-based "anneal"/"beam") over
+// topology→fabric mapping a degree of freedom.  This ablation runs each
+// of the four compile::MappingStrategy kinds (the one-shot "paper" and
+// "greedy-pack" plus the search-based "anneal"/"beam") over
 // an MLP and a CNN workload at MCA 32/64/128 and reports what each
 // strategy trades: crossbar utilisation, deployed arrays/NeuroCells,
 // serial-bus boundaries, and — from an event-fidelity executor replay of
@@ -48,7 +48,7 @@ struct Row {
 int main() {
   std::cout << "== Ablation: mapping strategies (compile layer) ==\n\n";
 
-  const std::vector<std::string> strategies = compile::registered_strategies();
+  const std::vector<std::string> strategies = compile::strategy_names();
 
   Table t({"Benchmark", "MCA", "Strategy", "Utilisation", "MCAs", "NCs",
            "Bus bnd", "Energy (uJ)", "Latency (ns)", "Stall cyc"});
@@ -93,11 +93,10 @@ int main() {
   }
   t.print(std::cout);
   std::cout << "\ngreedy-pack lifts CNN utilisation (shared-window conv tiles "
-               "+ packed pool\nwindows) and cuts deployed arrays; balanced "
-               "trades idle mPE slots for fewer\nserial-bus boundaries; "
-               "anneal/beam search per-layer sizes and policies\n"
-               "(docs/compile.md).  Energy, latency and stalls are "
-               "event-fidelity replays\nof identical traces.\n";
+               "+ packed pool\nwindows) and cuts deployed arrays; anneal/beam "
+               "search per-layer sizes, tile\npolicies and NeuroCell "
+               "alignment (docs/compile.md).  Energy, latency and\nstalls "
+               "are event-fidelity replays of identical traces.\n";
 
   std::ostringstream config;
   config << "{\"benchmarks\": [\"mnist-mlp\", \"mnist-cnn\"], "

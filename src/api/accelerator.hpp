@@ -1,8 +1,7 @@
 // The unified accelerator surface (docs/architecture.md).
 //
 // Every architecture model this repo compares — the memristive RESPARC
-// fabric, the CMOS FALCON-style baseline, and any future variant — is
-// driven through the same three-call contract:
+// fabric and the CMOS FALCON-style baseline — is driven through the same three-call contract:
 //
 //   auto accel = api::make_accelerator("resparc", options);   // registry.hpp
 //   accel->load(topology);                                    // place the SNN
@@ -110,12 +109,6 @@ class Accelerator {
 
   /// Implementation metrics of one tile (area/power/gates/frequency).
   virtual AcceleratorMetrics metrics() const = 0;
-
-  /// True when this backend compiles topologies through the mapping-
-  /// strategy layer (honours BackendOptions::strategy and `"/<strategy>"`
-  /// registry-key suffixes).  The registry rejects a strategy suffix on
-  /// backends that return false instead of silently ignoring it.
-  virtual bool supports_mapping_strategies() const { return false; }
 };
 
 /// Converts a native RESPARC report to the unified form.

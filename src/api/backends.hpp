@@ -46,8 +46,6 @@ class ResparcBackend final : public Accelerator {
       std::span<const snn::SpikeTrace> traces) const override;
   /// Fig. 8 metric roll-up of one NeuroCell at this configuration.
   AcceleratorMetrics metrics() const override;
-  /// RESPARC compiles through the mapping-strategy layer.
-  bool supports_mapping_strategies() const override { return true; }
 
   /// The configured Ml-NoC timing fidelity.
   noc::Fidelity noc_fidelity() const { return chip_.fidelity(); }
@@ -60,8 +58,9 @@ class ResparcBackend final : public Accelerator {
   /// The chip configuration this backend was built with.
   const core::ResparcConfig& config() const { return chip_.config(); }
   /// Strategy of the loaded program; before any load, the configured
-  /// policy ("auto" resolves to the winning strategy once loaded — the
-  /// configured policy itself is immutable, so every load() re-selects).
+  /// name.  "auto" reads as "auto" until a load, then as the strategy
+  /// that won; the configured name itself never changes, so every
+  /// load() selects again.
   const std::string& strategy() const {
     return chip_.loaded() ? chip_.program().strategy : strategy_;
   }

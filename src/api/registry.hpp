@@ -1,4 +1,4 @@
-// String-keyed backend registry: the factory seam of the API layer.
+// Backend lookup: the factory seam of the API layer.
 //
 // Callers name the architecture they want and get an abstract Accelerator:
 //
@@ -6,26 +6,22 @@
 //   auto greedy  = api::make_accelerator("resparc-64/greedy-pack");
 //   auto cmos    = api::make_accelerator("cmos");
 //
-// Built-in names (registered on first use):
+// The names form a fixed table:
 //   "resparc"                  RESPARC at the paper's default operating
 //                              point, honouring options.resparc verbatim
 //   "resparc-32/-64/-128/-256" RESPARC with the MCA size overridden
 //   "cmos", "falcon"           the digital baseline (options.cmos)
 //
-// Any RESPARC key accepts a "/<strategy>" suffix selecting the mapping
+// The RESPARC keys accept a "/<strategy>" suffix selecting the mapping
 // strategy the compile layer uses (compile/strategy.hpp: "paper",
-// "greedy-pack", "balanced", "auto", plus anything added through
-// compile::register_strategy).  The same choice is available
-// programmatically through BackendOptions::strategy.
-//
-// Future variants (analog-noise crossbars, sharded multi-chip, ...) plug in
-// via register_backend without touching any caller.
+// "greedy-pack", "anneal", "beam", or "auto" for the best of them).  The
+// same choice is available programmatically through
+// BackendOptions::strategy.  The CMOS keys have no compile step and
+// reject a suffix.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "api/accelerator.hpp"
 #include "cmos/falcon.hpp"
@@ -35,7 +31,7 @@
 
 namespace resparc::api {
 
-/// Thrown for unknown backend names; the message lists what is registered.
+/// Thrown for unknown backend names; the message lists the known ones.
 class BackendError : public Error {
  public:
   /// Wraps `what` with the "backend error:" prefix.
@@ -43,14 +39,15 @@ class BackendError : public Error {
       : Error("backend error: " + what) {}
 };
 
-/// Configuration handed to backend factories.  Each backend reads the slice
-/// it understands and ignores the rest, so one options object can configure
-/// a whole comparison.
+/// Configuration make_accelerator hands to the backend it builds.  Each
+/// backend reads the slice it understands and ignores the rest, so one
+/// options object can configure a whole comparison.
 struct BackendOptions {
   core::ResparcConfig resparc = core::default_config();  ///< RESPARC slice
   cmos::FalconConfig cmos{};                             ///< CMOS slice
-  /// Mapping strategy for crossbar backends ("paper", "greedy-pack",
-  /// "balanced", "auto", ...).  A `"/<strategy>"` key suffix overrides this.
+  /// Mapping strategy for crossbar backends: "paper", "greedy-pack",
+  /// "anneal", "beam" (compile::strategy_names()) or "auto".  A
+  /// `"/<strategy>"` key suffix overrides this.
   /// Backends without a compile step (the CMOS baseline) ignore it.
   std::string strategy = "paper";
   /// Ml-NoC timing fidelity for the RESPARC fabric (docs/noc.md):
@@ -60,21 +57,11 @@ struct BackendOptions {
   noc::Fidelity noc = noc::Fidelity::kAnalytic;
 };
 
-/// Factory signature: build an accelerator from shared options.
-using BackendFactory =
-    std::function<std::unique_ptr<Accelerator>(const BackendOptions&)>;
-
-/// Creates the backend registered under `name`; an optional
-/// `"base/<strategy>"` suffix selects the mapping strategy (e.g.
-/// "resparc-64/greedy-pack").  Throws BackendError for unknown backend
-/// names or strategies — the message lists what is registered.
+/// Creates the backend named `name`; an optional `"base/<strategy>"`
+/// suffix selects the mapping strategy (e.g. "resparc-64/greedy-pack").
+/// Throws BackendError for unknown backend names or strategies, and for a
+/// suffix on a CMOS key — the message lists the known names.
 std::unique_ptr<Accelerator> make_accelerator(const std::string& name,
                                               const BackendOptions& options = {});
-
-/// Registers (or replaces) a backend under `name`.  Thread-safe.
-void register_backend(const std::string& name, BackendFactory factory);
-
-/// Sorted names of every registered backend.
-std::vector<std::string> registered_backends();
 
 }  // namespace resparc::api

@@ -1,6 +1,5 @@
 #include "compile/compiler.hpp"
 
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -38,8 +37,8 @@ Compiler::Compiler(core::ResparcConfig config, CompileOptions options)
   config_.validate();
 }
 
-CompiledProgram Compiler::run_passes(const snn::Topology& topology,
-                                     const MappingStrategy& strategy) const {
+CompiledProgram Compiler::compile(const snn::Topology& topology,
+                                  const MappingStrategy& strategy) const {
   // -- legalize --------------------------------------------------------------
   legalize_pass(topology, config_);
 
@@ -48,21 +47,9 @@ CompiledProgram Compiler::run_passes(const snn::Topology& topology,
   program.topology_name = topology.name();
   program.topology_summary = topology.summary();
   program.config_fingerprint = config_.fingerprint();
-  program.mapping.config = config_;
 
-  // -- tile ------------------------------------------------------------------
-  for (std::size_t l = 0; l < topology.layer_count(); ++l)
-    program.mapping.layers.push_back(
-        strategy.tile(topology.layers()[l], l, config_));
-
-  // -- place -----------------------------------------------------------------
-  strategy.place(program.mapping, config_);
-
-  // -- optimize --------------------------------------------------------------
-  // Whole-program search (no-op for the one-shot heuristics): the search
-  // strategies retile/replace/resize layers here, so every later pass —
-  // repair, routing, cost, verify — describes the searched mapping.
-  strategy.optimize(topology, program.mapping, config_);
+  // -- map -------------------------------------------------------------------
+  program.mapping = strategy.map(topology, config_);
 
   // -- repair ----------------------------------------------------------------
   // Fault-aware re-placement around failed mPEs (no-op unless the config
@@ -98,20 +85,19 @@ CompiledProgram Compiler::run_passes(const snn::Topology& topology,
 CompiledProgram Compiler::compile(const snn::Topology& topology,
                                   const std::string& strategy) const {
   if (strategy == "auto") return compile_best(topology);
-  return run_passes(topology, *make_strategy(strategy));
+  return compile(topology, *make_strategy(strategy));
 }
 
 CompiledProgram Compiler::compile_best(const snn::Topology& topology) const {
   CompiledProgram best;
   double best_score = std::numeric_limits<double>::infinity();
-  for (const std::string& name : registered_strategies()) {
-    CompiledProgram candidate = run_passes(topology, *make_strategy(name));
+  for (const std::string& name : strategy_names()) {
+    CompiledProgram candidate = compile(topology, *make_strategy(name));
     if (candidate.cost.score() < best_score) {
       best_score = candidate.cost.score();
       best = std::move(candidate);
     }
   }
-  require(std::isfinite(best_score), "compile_best: no registered strategies");
   return best;
 }
 

@@ -68,7 +68,7 @@ struct CostEstimate {
 
 /// The compiler's output artifact.
 struct CompiledProgram {
-  std::string strategy;              ///< registry key that produced it
+  std::string strategy;              ///< name of the strategy that produced it
   std::string topology_name;         ///< Topology::name() of the source
   std::string topology_summary;      ///< Topology::summary(), checked on load
   std::uint64_t config_fingerprint = 0;  ///< ResparcConfig::fingerprint()

@@ -3,7 +3,7 @@
 // A chip instance with stuck-at faults (core::ResparcConfig::faults) may
 // contain MCAs whose stuck-cell density exceeds the failure threshold;
 // an mPE holding such an MCA cannot be trusted with synapses.  This pass
-// runs between place and route in compile::Compiler::run_passes: it
+// runs between map and route in compile::Compiler::compile: it
 // slides every layer's mPE-contiguous span forward to the first span
 // containing no failed mPE, preserving layer order, then recomputes the
 // whole-chip totals (gaps left by skipped mPEs are legal — the verifier

@@ -1,10 +1,13 @@
 #include "compile/search/search.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -167,7 +170,7 @@ class Decoder {
   /// to a fresh cell (an mPE's peripheral pitch fits one array size —
   /// the verifier's RV-CAP-NC-MIXED-SIZE invariant), and an align-bit
   /// layer that would straddle a cell but fits inside one also bumps
-  /// (the "balanced" placement rule, now a per-layer search move).
+  /// (NeuroCell alignment, a per-layer search move).
   void place_genome(Mapping& m, const Genome& g) const {
     const std::size_t per_nc = config_.mpes_per_neurocell();
     std::size_t next_mpe = 0;
@@ -257,8 +260,8 @@ struct Candidate {
   double score = kInf;
 };
 
-/// Homogeneous paper-tiling genome: the strategy's own place()/tile()
-/// output, so the search can only improve on the baseline.
+/// Homogeneous paper-tiling genome: decodes to the "paper" strategy's
+/// mapping, so the search can only improve on the baseline.
 Genome paper_genome(const Decoder& dec, std::size_t layers) {
   return Genome(layers, Gene{dec.default_size_index(), kPaper, false});
 }
@@ -549,31 +552,19 @@ SearchOptions sanitized(SearchOptions opt, const ResparcConfig& cfg) {
   return opt;
 }
 
-/// Shared shell of both search strategies: paper tile/place as the
-/// baseline the compiler sees before optimize() replaces the mapping
-/// with the searched one.
+/// Shared shell of both search strategies: sanitise the options, run the
+/// search, and decode the winning genome into the mapping.
 class SearchStrategyBase : public MappingStrategy {
  public:
   explicit SearchStrategyBase(SearchOptions options)
       : options_(std::move(options)) {}
 
-  LayerMapping tile(const snn::LayerInfo& li, std::size_t layer_index,
-                    const ResparcConfig& cfg) const override {
-    return core::tile_layer_paper(li, layer_index, cfg);
-  }
-
-  void place(Mapping& m, const ResparcConfig& cfg) const override {
-    core::place_layers_sequential(m, cfg);
-  }
-
-  void optimize(const snn::Topology& topology, Mapping& m,
-                const ResparcConfig& cfg) const override {
-    if (topology.layer_count() == 0) return;
+  Mapping map(const snn::Topology& topology,
+              const ResparcConfig& cfg) const override {
     const SearchOptions opt = sanitized(options_, cfg);
     SearchContext ctx(topology, cfg, opt);
     const Genome winner = run(ctx, opt, topology.layer_count());
-    Decoded d = ctx.decoder().decode(winner);
-    m = std::move(d.mapping);
+    return ctx.decoder().decode(winner).mapping;
   }
 
  protected:
@@ -608,21 +599,28 @@ class BeamStrategy final : public SearchStrategyBase {
   }
 };
 
-std::size_t env_size_t(const char* name, std::size_t fallback) {
+/// The non-negative decimal integer in environment variable `name`, or
+/// nullopt when it is unset or not one: a sign, trailing junk or a value
+/// past 2^64 - 1 all count as "not set" rather than wrapping around.
+std::optional<std::uint64_t> env_u64(const char* name) {
   const char* text = std::getenv(name);
-  if (text == nullptr || *text == '\0') return fallback;
+  if (text == nullptr || !std::isdigit(static_cast<unsigned char>(*text)))
+    return std::nullopt;
+  errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return fallback;
-  return static_cast<std::size_t>(v);
+  if (*end != '\0' || errno == ERANGE) return std::nullopt;
+  return v;
 }
 
 }  // namespace
 
 SearchOptions SearchOptions::from_env() {
   SearchOptions opt;
-  opt.rounds = env_size_t("RESPARC_SEARCH_BUDGET", opt.rounds);
-  opt.seed = env_size_t("RESPARC_BENCH_SEED", opt.seed);
+  if (const auto budget = env_u64("RESPARC_SEARCH_BUDGET"))
+    opt.rounds = static_cast<std::size_t>(
+        std::min<std::uint64_t>(opt.rounds, *budget));
+  if (const auto seed = env_u64("RESPARC_BENCH_SEED")) opt.seed = *seed;
   return opt;
 }
 

@@ -29,7 +29,7 @@
 namespace resparc::compile::search {
 
 /// Knobs of both search strategies.  Defaults are the CI operating point:
-/// modest enough that "auto" (which compiles every registered strategy)
+/// modest enough that "auto" (which compiles all four strategies)
 /// stays interactive, strong enough to beat greedy-pack at paper scale.
 struct SearchOptions {
   /// Candidate MCA sizes the size move may pick from.  The strategies
@@ -67,16 +67,18 @@ struct SearchOptions {
   std::size_t threads = 0;
 
   /// Defaults overridden from the environment: RESPARC_SEARCH_BUDGET caps
-  /// `rounds` (CI pins it for bounded bench jobs), RESPARC_BENCH_SEED
-  /// replaces `seed` (the bench seeding convention, bench/bench_util.hpp).
+  /// `rounds` at min(rounds, budget) (CI pins it for bounded bench jobs),
+  /// RESPARC_BENCH_SEED replaces `seed` (the bench seeding convention,
+  /// bench/bench_util.hpp).  A value that is not a non-negative decimal
+  /// integer in range (a sign, junk, overflow) is ignored.
   static SearchOptions from_env();
 };
 
 /// Simulated-annealing strategy ("anneal"): Metropolis over single-gene
 /// mutations, analytic-oracle scored, replay-promoted elites.
 std::unique_ptr<MappingStrategy> make_anneal_strategy();
-/// Annealing strategy with explicit knobs (register under a custom name
-/// via compile::register_strategy for budget-controlled searches).
+/// Annealing strategy with explicit knobs, for budget-controlled searches
+/// through Compiler::compile(topology, strategy).
 std::unique_ptr<MappingStrategy> make_anneal_strategy(
     const SearchOptions& options);
 

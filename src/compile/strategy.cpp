@@ -1,10 +1,8 @@
 #include "compile/strategy.hpp"
 
 #include <algorithm>
-#include <mutex>
 
 #include "common/math.hpp"
-#include "common/registry.hpp"
 #include "compile/program.hpp"
 #include "compile/search/search.hpp"
 
@@ -49,35 +47,6 @@ void place_packed(Mapping& m, const ResparcConfig& cfg) {
   m.total_mcas = mca_offset;
   m.total_mpes = ceil_div(mca_offset, cfg.mcas_per_mpe);
   m.total_neurocells = ceil_div(m.total_mpes, per_nc);
-  m.utilization = static_cast<double>(synapses) / static_cast<double>(cells);
-}
-
-/// NeuroCell-aligned placement: a layer that would straddle a NeuroCell
-/// boundary but fits in a whole NeuroCell is pushed to the next boundary.
-/// Consecutive small layers then share one NeuroCell, and their boundary
-/// traffic stays on the switch fabric instead of the serial global bus.
-void place_aligned(Mapping& m, const ResparcConfig& cfg) {
-  const std::size_t per_nc = cfg.mpes_per_neurocell();
-  std::size_t next_mpe = 0;
-  std::size_t synapses = 0;
-  std::size_t cells = 0;
-  m.total_mcas = 0;
-  for (LayerMapping& lm : m.layers) {
-    // lm.mpe_count keeps the tiled (fresh-mPE) value; only the start moves.
-    const std::size_t nc_end = (next_mpe / per_nc + 1) * per_nc;
-    if (next_mpe + lm.mpe_count > nc_end && lm.mpe_count <= per_nc)
-      next_mpe = nc_end;  // align: whole layer inside one fresh NeuroCell
-    lm.first_mpe = next_mpe;
-    next_mpe += lm.mpe_count;
-    lm.first_nc = lm.first_mpe / per_nc;
-    lm.last_nc = (lm.first_mpe + lm.mpe_count - 1) / per_nc;
-    m.total_mcas += lm.mca_count;
-    synapses += lm.synapses;
-    const std::size_t n = lm.mca_size != 0 ? lm.mca_size : cfg.mca_size;
-    cells += lm.mca_count * n * n;
-  }
-  m.total_mpes = next_mpe;
-  m.total_neurocells = ceil_div(next_mpe, per_nc);
   m.utilization = static_cast<double>(synapses) / static_cast<double>(cells);
 }
 
@@ -133,20 +102,14 @@ namespace {
 
 // -------------------------------------------------------------- strategies --
 
-/// The paper's section 3.1 mapper, verbatim: tile_layer_paper per layer and
-/// sequential layer-order placement.  core::map_network composes exactly
-/// these two calls, so this strategy is bit-for-bit the legacy path.
+/// The paper's section 3.1 mapper, verbatim: core::map_network.
 class PaperStrategy final : public MappingStrategy {
  public:
   std::string name() const override { return "paper"; }
 
-  LayerMapping tile(const LayerInfo& li, std::size_t layer_index,
-                    const ResparcConfig& cfg) const override {
-    return core::tile_layer_paper(li, layer_index, cfg);
-  }
-
-  void place(Mapping& m, const ResparcConfig& cfg) const override {
-    core::place_layers_sequential(m, cfg);
+  Mapping map(const snn::Topology& topology,
+              const ResparcConfig& cfg) const override {
+    return core::map_network(topology, cfg);
   }
 };
 
@@ -157,8 +120,19 @@ class GreedyPackStrategy final : public MappingStrategy {
  public:
   std::string name() const override { return "greedy-pack"; }
 
-  LayerMapping tile(const LayerInfo& li, std::size_t layer_index,
-                    const ResparcConfig& cfg) const override {
+  Mapping map(const snn::Topology& topology,
+              const ResparcConfig& cfg) const override {
+    Mapping m;
+    m.config = cfg;
+    for (std::size_t l = 0; l < topology.layer_count(); ++l)
+      m.layers.push_back(tile(topology.layers()[l], l, cfg));
+    place_packed(m, cfg);
+    return m;
+  }
+
+ private:
+  static LayerMapping tile(const LayerInfo& li, std::size_t layer_index,
+                           const ResparcConfig& cfg) {
     if (li.spec.kind == LayerKind::kAvgPool)
       return tile_pool_packed(li, layer_index, cfg);
     if (li.spec.kind == LayerKind::kConv && li.fan_in <= cfg.mca_size) {
@@ -168,70 +142,33 @@ class GreedyPackStrategy final : public MappingStrategy {
     }
     return core::tile_layer_paper(li, layer_index, cfg);
   }
-
-  void place(Mapping& m, const ResparcConfig& cfg) const override {
-    place_packed(m, cfg);
-  }
 };
-
-/// Paper tiling with NeuroCell-aligned placement: trades a few idle mPE
-/// slots for fewer layer boundaries on the serial global bus.
-class BalancedStrategy final : public MappingStrategy {
- public:
-  std::string name() const override { return "balanced"; }
-
-  LayerMapping tile(const LayerInfo& li, std::size_t layer_index,
-                    const ResparcConfig& cfg) const override {
-    return core::tile_layer_paper(li, layer_index, cfg);
-  }
-
-  void place(Mapping& m, const ResparcConfig& cfg) const override {
-    place_aligned(m, cfg);
-  }
-};
-
-// ---------------------------------------------------------------- registry --
-
-NamedRegistry<StrategyFactory>& registry() {
-  static NamedRegistry<StrategyFactory> instance;
-  static std::once_flag once;
-  std::call_once(once, [] {
-    instance.set("paper", [] { return std::make_unique<PaperStrategy>(); });
-    instance.set("greedy-pack",
-                 [] { return std::make_unique<GreedyPackStrategy>(); });
-    instance.set("balanced",
-                 [] { return std::make_unique<BalancedStrategy>(); });
-    // The optimizing strategies (src/compile/search): annealing / beam
-    // search over tile policy, placement and per-layer MCA size.
-    instance.set("anneal", [] { return search::make_anneal_strategy(); });
-    instance.set("beam", [] { return search::make_beam_strategy(); });
-  });
-  return instance;
-}
 
 }  // namespace
 
+const std::vector<std::string>& strategy_names() {
+  static const std::vector<std::string> names = {"anneal", "beam",
+                                                 "greedy-pack", "paper"};
+  return names;
+}
+
+std::string strategy_name_list() {
+  std::string out;
+  for (const std::string& name : strategy_names()) out += name + ", ";
+  return out + "auto";
+}
+
 std::unique_ptr<MappingStrategy> make_strategy(const std::string& name) {
-  NamedRegistry<StrategyFactory>& r = registry();
-  const std::optional<StrategyFactory> factory = r.find(name);
-  if (!factory)
-    throw CompileError("unknown mapping strategy \"" + name +
-                       "\" (registered: " + join_names(r.names()) + ")");
-  return (*factory)();
-}
-
-void register_strategy(const std::string& name, StrategyFactory factory) {
-  require(!name.empty(), "register_strategy: empty name");
-  require(name != "auto",
-          "register_strategy: \"auto\" is reserved for best-of-all selection");
-  require(static_cast<bool>(factory), "register_strategy: null factory");
-  registry().set(name, std::move(factory));
-}
-
-std::vector<std::string> registered_strategies() { return registry().names(); }
-
-bool strategy_exists(const std::string& name) {
-  return registry().contains(name);
+  if (name == "paper") return std::make_unique<PaperStrategy>();
+  if (name == "greedy-pack") return std::make_unique<GreedyPackStrategy>();
+  if (name == "anneal") return search::make_anneal_strategy();
+  if (name == "beam") return search::make_beam_strategy();
+  if (name == "auto")
+    throw CompileError(
+        "\"auto\" selects among the strategies and is not one itself; "
+        "pass it to Compiler::compile");
+  throw CompileError("unknown mapping strategy \"" + name +
+                     "\" (strategies: " + strategy_name_list() + ")");
 }
 
 }  // namespace resparc::compile

@@ -1,4 +1,4 @@
-// Tests of the compile layer (src/compile): strategy registry, pass
+// Tests of the compile layer (src/compile): the fixed strategy set, pass
 // pipeline, cost model, CompiledProgram serialization, and bit-for-bit
 // parity of the "paper" strategy with the legacy mapper.
 #include <gtest/gtest.h>
@@ -57,16 +57,13 @@ void expect_mappings_equal(const Mapping& a, const Mapping& b) {
   }
 }
 
-// ---------------------------------------------------------------- registry --
+// -------------------------------------------------------------- strategies --
 
 TEST(StrategyRegistry, BuiltinsAreRegistered) {
-  const auto names = registered_strategies();
-  for (const char* expected :
-       {"paper", "greedy-pack", "balanced", "anneal", "beam"})
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
-  EXPECT_TRUE(strategy_exists("paper"));
-  EXPECT_FALSE(strategy_exists("no-such-strategy"));
+  EXPECT_EQ(strategy_names(), (std::vector<std::string>{
+                                  "anneal", "beam", "greedy-pack", "paper"}));
+  for (const std::string& name : strategy_names())
+    EXPECT_EQ(make_strategy(name)->name(), name);
 }
 
 TEST(StrategyRegistry, UnknownNameThrowsListingAlternatives) {
@@ -76,26 +73,28 @@ TEST(StrategyRegistry, UnknownNameThrowsListingAlternatives) {
   } catch (const CompileError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("no-such-strategy"), std::string::npos);
-    EXPECT_NE(what.find("paper"), std::string::npos);
-    EXPECT_NE(what.find("greedy-pack"), std::string::npos);
-    // The search strategies must be discoverable from the message too.
-    EXPECT_NE(what.find("anneal"), std::string::npos);
-    EXPECT_NE(what.find("beam"), std::string::npos);
+    // Every accepted name is discoverable from the message, "auto" too.
+    for (const std::string& name : strategy_names())
+      EXPECT_NE(what.find(name), std::string::npos) << name;
+    EXPECT_NE(what.find("auto"), std::string::npos);
   }
 }
 
-TEST(StrategyRegistry, CustomStrategyIsCreatable) {
-  register_strategy("test-paper-copy",
-                    [] { return make_strategy("paper"); });
-  const auto strategy = make_strategy("test-paper-copy");
-  EXPECT_EQ(strategy->name(), "paper");
+TEST(StrategyRegistry, AutoIsReserved) {
+  // "auto" is a selection Compiler::compile makes over the strategies,
+  // not a strategy object of its own.
+  EXPECT_THROW(make_strategy("auto"), CompileError);
 }
 
-TEST(StrategyRegistry, AutoIsReserved) {
-  // "auto" is intercepted by Compiler::compile before the registry, so a
-  // strategy registered under it could never be dispatched.
-  EXPECT_THROW(register_strategy("auto", [] { return make_strategy("paper"); }),
-               ConfigError);
+TEST(Compiler, CompilesWithAStrategyObject) {
+  // The strategy-object overload is the named one minus the name lookup.
+  const auto spec = snn::mnist_mlp();
+  const Compiler compiler(core::default_config());
+  const CompiledProgram by_object =
+      compiler.compile(spec.topology, *make_strategy("greedy-pack"));
+  const CompiledProgram by_name = compiler.compile(spec.topology, "greedy-pack");
+  EXPECT_EQ(by_object.strategy, "greedy-pack");
+  expect_mappings_equal(by_object.mapping, by_name.mapping);
 }
 
 // ------------------------------------------------------------ paper parity --
@@ -188,34 +187,6 @@ TEST(GreedyPack, PacksMcasAcrossLayerBoundaries) {
   EXPECT_EQ(greedy.mapping.total_mpes, 1u);
 }
 
-TEST(Balanced, NeverMoreBusBoundariesThanPaper) {
-  for (const auto& spec : snn::paper_benchmarks()) {
-    for (const std::size_t mca : {32u, 64u, 128u}) {
-      const Compiler compiler(core::config_with_mca(mca));
-      const CompiledProgram paper = compiler.compile(spec.topology, "paper");
-      const CompiledProgram balanced =
-          compiler.compile(spec.topology, "balanced");
-      EXPECT_LE(balanced.cost.bus_boundaries, paper.cost.bus_boundaries)
-          << spec.topology.name() << " N=" << mca;
-    }
-  }
-}
-
-TEST(Balanced, AlignsStraddlingLayerToAFreshNeurocell) {
-  // 192-wide dense layers are 9 MCAs = 3 mPEs each: the sixth layer would
-  // straddle mPE 15/16 (the NeuroCell edge); balanced pushes it to
-  // NeuroCell 1 so the following boundary stays on the switch fabric.
-  std::vector<LayerSpec> layers(7, LayerSpec::dense(192));
-  Topology t("straddle", Shape3{1, 1, 192}, layers);
-  const core::ResparcConfig cfg = core::config_with_mca(64);
-  const Compiler compiler(cfg);
-  const CompiledProgram paper = compiler.compile(t, "paper");
-  const CompiledProgram balanced = compiler.compile(t, "balanced");
-  EXPECT_LT(balanced.cost.bus_boundaries, paper.cost.bus_boundaries);
-  for (const auto& lm : balanced.mapping.layers)
-    EXPECT_EQ(lm.first_nc, lm.last_nc) << "layer " << lm.layer;
-}
-
 // --------------------------------------------------------------- cost model --
 
 TEST(CostModel, ScoresTrackMcaSizeTradeoffOnCnn) {
@@ -241,7 +212,7 @@ TEST(CompilerAuto, PicksTheBestScoringStrategy) {
   const auto spec = snn::mnist_cnn();
   const Compiler compiler(core::config_with_mca(64));
   const CompiledProgram best = compiler.compile(spec.topology, "auto");
-  for (const std::string& name : registered_strategies()) {
+  for (const std::string& name : strategy_names()) {
     const CompiledProgram p = compiler.compile(spec.topology, name);
     EXPECT_LE(best.cost.score(), p.cost.score()) << name;
   }
@@ -275,13 +246,13 @@ TEST(ProgramSerialization, RoundTripsThroughAStream) {
 TEST(ProgramSerialization, RoundTripsThroughAFile) {
   const auto spec = snn::mnist_mlp();
   const core::ResparcConfig cfg = core::default_config();
-  const CompiledProgram p = Compiler(cfg).compile(spec.topology, "balanced");
+  const CompiledProgram p = Compiler(cfg).compile(spec.topology, "beam");
 
   const std::string path = ::testing::TempDir() + "/mnist_mlp.rcp";
   ASSERT_TRUE(p.save_file(path));
   const CompiledProgram q = CompiledProgram::load_file(path, cfg);
   expect_mappings_equal(q.mapping, p.mapping);
-  EXPECT_EQ(q.strategy, "balanced");
+  EXPECT_EQ(q.strategy, "beam");
 }
 
 TEST(ProgramSerialization, RejectsConfigFingerprintMismatch) {
@@ -413,9 +384,9 @@ TEST_F(CompiledWorkload, StrategySuffixSelectsTheStrategy) {
   EXPECT_EQ(backend->program().strategy, "greedy-pack");
 
   api::BackendOptions options;
-  options.strategy = "balanced";
+  options.strategy = "beam";
   const auto via_options = api::make_accelerator("resparc", options);
-  EXPECT_EQ(via_options->name(), "RESPARC-64/balanced");
+  EXPECT_EQ(via_options->name(), "RESPARC-64/beam");
 }
 
 TEST_F(CompiledWorkload, LoadProgramUpdatesStrategyAndName) {
@@ -442,7 +413,7 @@ TEST_F(CompiledWorkload, StrategiesAgreeOnSpikeSemantics) {
   // neuron counts each strategy integrates must match.
   const api::Workload& w = *workload_;
   std::vector<std::size_t> fires;
-  for (const std::string& strategy : registered_strategies()) {
+  for (const std::string& strategy : strategy_names()) {
     api::ResparcBackend backend(core::default_config(), strategy);
     backend.load(w.topology());
     const api::ExecutionReport r = backend.execute(w.traces);

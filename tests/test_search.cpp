@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "api/backends.hpp"
-#include "api/registry.hpp"
 #include "common/rng.hpp"
 #include "compile/compiler.hpp"
 #include "compile/program.hpp"
@@ -37,15 +36,12 @@ std::string serialized(const CompiledProgram& program) {
   return os.str();
 }
 
-/// Registers an anneal strategy under `name` with `options` and compiles
-/// `topology` with it at the default chip configuration.
-CompiledProgram compile_anneal(const std::string& name,
-                               const SearchOptions& options,
+/// Compiles `topology` with an anneal strategy built from `options` at
+/// the default chip configuration.
+CompiledProgram compile_anneal(const SearchOptions& options,
                                const snn::Topology& topology) {
-  compile::register_strategy(name, [options] {
-    return compile::search::make_anneal_strategy(options);
-  });
-  return Compiler(core::default_config()).compile(topology, name);
+  return Compiler(core::default_config())
+      .compile(topology, *compile::search::make_anneal_strategy(options));
 }
 
 // ------------------------------------------------------------ determinism --
@@ -59,8 +55,7 @@ TEST(SearchDeterminism, AnnealIsByteIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : {1u, 4u, 8u}) {
     SearchOptions opt;  // defaults, env-independent
     opt.threads = threads;
-    blobs.push_back(serialized(compile_anneal(
-        "test-anneal-t" + std::to_string(threads), opt, topology)));
+    blobs.push_back(serialized(compile_anneal(opt, topology)));
   }
   EXPECT_EQ(blobs[0], blobs[1]) << "threads=1 vs threads=4";
   EXPECT_EQ(blobs[0], blobs[2]) << "threads=1 vs threads=8";
@@ -72,11 +67,8 @@ TEST(SearchDeterminism, BeamIsByteIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : {1u, 8u}) {
     SearchOptions opt;
     opt.threads = threads;
-    compile::register_strategy(
-        "test-beam-t" + std::to_string(threads),
-        [opt] { return compile::search::make_beam_strategy(opt); });
     blobs.push_back(serialized(Compiler(core::default_config())
-        .compile(topology, "test-beam-t" + std::to_string(threads))));
+        .compile(topology, *compile::search::make_beam_strategy(opt))));
   }
   EXPECT_EQ(blobs[0], blobs[1]);
 }
@@ -86,10 +78,8 @@ TEST(SearchDeterminism, BeamIsByteIdenticalAcrossThreadCounts) {
 TEST(SearchDeterminism, RepeatedCompilesAreIdentical) {
   const snn::Topology& topology = snn::mnist_mlp().topology;
   SearchOptions opt;
-  const std::string a =
-      serialized(compile_anneal("test-anneal-rep", opt, topology));
-  const std::string b =
-      serialized(compile_anneal("test-anneal-rep2", opt, topology));
+  const std::string a = serialized(compile_anneal(opt, topology));
+  const std::string b = serialized(compile_anneal(opt, topology));
   EXPECT_EQ(a, b);
 }
 
@@ -102,7 +92,7 @@ TEST(SearchDeterminism, RepeatedCompilesAreIdentical) {
 TEST(SearchHeterogeneous, SearchedCnnProgramMixesSizesAndVerifies) {
   const snn::BenchmarkSpec spec = snn::mnist_cnn();
   const CompiledProgram program =
-      compile_anneal("test-anneal-hetero", SearchOptions{}, spec.topology);
+      compile_anneal(SearchOptions{}, spec.topology);
   std::size_t mixed = 0;
   for (const auto& lm : program.mapping.layers)
     if (lm.mca_size != 0) ++mixed;
@@ -118,7 +108,7 @@ TEST(SearchHeterogeneous, SearchedCnnProgramMixesSizesAndVerifies) {
 TEST(SearchHeterogeneous, MixedSizeProgramRoundTripsThroughTheBlob) {
   const snn::BenchmarkSpec spec = snn::mnist_cnn();
   const CompiledProgram program =
-      compile_anneal("test-anneal-rt", SearchOptions{}, spec.topology);
+      compile_anneal(SearchOptions{}, spec.topology);
   std::istringstream is(serialized(program));
   const CompiledProgram reparsed =
       CompiledProgram::load(is, core::default_config());
@@ -128,6 +118,36 @@ TEST(SearchHeterogeneous, MixedSizeProgramRoundTripsThroughTheBlob) {
               program.mapping.layers[l].mca_size) << "layer " << l;
     EXPECT_EQ(reparsed.mapping.layer_mca_size(l),
               program.mapping.layer_mca_size(l)) << "layer " << l;
+  }
+}
+
+// ------------------------------------------------- NeuroCell alignment --
+
+// 192-wide dense layers are 9 MCAs = 3 mPEs each at MCA 64, so under the
+// paper placement the sixth layer straddles mPE 15/16 (the NeuroCell
+// edge) and its boundary traffic crosses the serial bus.  Both searches
+// must leave every layer inside one NeuroCell and cross the bus less
+// often than paper (4 boundaries; anneal finds 3, beam 2).  With one
+// array size on offer, a size change cannot bump a layer to a fresh
+// NeuroCell, so the align gene alone must do it.
+TEST(SearchAlignment, StraddlingLayersAreAlignedToNeurocells) {
+  const snn::Topology t("straddle", Shape3{1, 1, 192},
+                        std::vector<snn::LayerSpec>(7, snn::LayerSpec::dense(192)));
+  const Compiler compiler(core::config_with_mca(64));
+  const CompiledProgram paper = compiler.compile(t, "paper");
+  SearchOptions one_size;
+  one_size.sizes = {64};
+  for (const SearchOptions& opt : {SearchOptions{}, one_size}) {
+    for (const auto& strategy : {compile::search::make_anneal_strategy(opt),
+                                 compile::search::make_beam_strategy(opt)}) {
+      const std::string label = strategy->name() + " with " +
+                                std::to_string(opt.sizes.size()) + " sizes";
+      const CompiledProgram searched = compiler.compile(t, *strategy);
+      EXPECT_LT(searched.cost.bus_boundaries, paper.cost.bus_boundaries)
+          << label;
+      for (const auto& lm : searched.mapping.layers)
+        EXPECT_EQ(lm.first_nc, lm.last_nc) << label << " layer " << lm.layer;
+    }
   }
 }
 
@@ -186,9 +206,7 @@ TEST(SearchDifferential, MixedSizeProgramsReplayIdenticallyOnAllEngines) {
   opt.elites = 3;
   opt.calibration_steps = 4;
   opt.polish = 1;
-  compile::register_strategy("test-search-fuzz", [opt] {
-    return compile::search::make_anneal_strategy(opt);
-  });
+  const auto strategy = compile::search::make_anneal_strategy(opt);
 
   std::size_t mixed_cases = 0;
   for (std::uint64_t seed = 0; seed < kSweep; ++seed) {
@@ -205,17 +223,18 @@ TEST(SearchDifferential, MixedSizeProgramsReplayIdenticallyOnAllEngines) {
     const std::vector<snn::SpikeTrace> ref_traces = {
         snn::simulate_reference(net, cfg, c.image, ref_rng).trace};
 
-    const auto accel = api::make_accelerator(
-        "resparc-" + std::to_string(c.mca_size) + "/test-search-fuzz");
-    accel->load(c.topology);
-    const api::ExecutionReport ref = accel->execute(ref_traces);
-    for (const auto& lm :
-         dynamic_cast<const api::ResparcBackend&>(*accel).mapping().layers)
+    core::ResparcConfig chip = core::default_config();
+    chip.mca_size = c.mca_size;
+    api::ResparcBackend backend(chip);
+    backend.load_program(c.topology,
+                         Compiler(chip).compile(c.topology, *strategy));
+    const api::ExecutionReport ref = backend.execute(ref_traces);
+    for (const auto& lm : backend.mapping().layers)
       if (lm.mca_size != 0) {
         ++mixed_cases;
         break;
       }
-    const api::ExecutionReport r = accel->execute(traces);
+    const api::ExecutionReport r = backend.execute(traces);
     EXPECT_EQ(r.energy_pj, ref.energy_pj) << c.summary();
     EXPECT_EQ(r.latency_ns, ref.latency_ns) << c.summary();
   }
@@ -239,7 +258,7 @@ TEST(SearchOptionsSeam, DegenerateOptionsStillCompileClean) {
   opt.polish = 0;
   opt.activity = -3.0;
   const CompiledProgram program =
-      compile_anneal("test-anneal-degenerate", opt, snn::mnist_mlp().topology);
+      compile_anneal(opt, snn::mnist_mlp().topology);
   const verify::VerifyReport report = verify::verify_program(program);
   EXPECT_TRUE(report.ok()) << report.to_string();
   EXPECT_EQ(program.strategy, "anneal");
@@ -252,6 +271,15 @@ TEST(SearchOptionsSeam, FromEnvReadsBudgetAndSeed) {
   const SearchOptions opt = SearchOptions::from_env();
   EXPECT_EQ(opt.rounds, 5u);
   EXPECT_EQ(opt.seed, 99u);
+  // The budget only ever lowers `rounds`; a value that is not a
+  // non-negative decimal integer is ignored rather than wrapped.
+  for (const char* ignored : {"-1", "1000", "12abc", "", "99999999999999999999"}) {
+    ASSERT_EQ(setenv("RESPARC_SEARCH_BUDGET", ignored, 1), 0);
+    EXPECT_EQ(SearchOptions::from_env().rounds, SearchOptions{}.rounds)
+        << "budget \"" << ignored << "\"";
+  }
+  ASSERT_EQ(setenv("RESPARC_BENCH_SEED", "-1", 1), 0);
+  EXPECT_EQ(SearchOptions::from_env().seed, SearchOptions{}.seed);
   ASSERT_EQ(unsetenv("RESPARC_SEARCH_BUDGET"), 0);
   ASSERT_EQ(unsetenv("RESPARC_BENCH_SEED"), 0);
   const SearchOptions defaults = SearchOptions::from_env();

@@ -101,8 +101,7 @@ TEST(VerifyClean, FreshBlobLintsCleanIncludingRoundTrip) {
 // errors silently.)
 TEST(VerifyClean, AllStrategiesVerifyCleanAtPaperScale) {
   const snn::BenchmarkSpec specs[] = {snn::mnist_mlp(), snn::mnist_cnn()};
-  for (const char* strategy :
-       {"paper", "greedy-pack", "balanced", "anneal", "beam"}) {
+  for (const char* strategy : {"paper", "greedy-pack", "anneal", "beam"}) {
     for (const auto& spec : specs) {
       for (const std::size_t mca : {64u, 128u, 256u}) {
         const core::ResparcConfig cfg = core::config_with_mca(mca);

@@ -1,9 +1,8 @@
 // resparc-compile: compiles a bundled paper benchmark to a serialized
 // CompiledProgram blob (.rcp) from the shell.
 //
-// Runs the full compiler pipeline — tile, place, optimize (for the search
-// strategies), repair, route, cost, mandatory verify — and writes the
-// blob to stdout or --out.  This is how the committed golden fixture
+// Runs the full compiler pipeline — legalize, map, repair, route, cost,
+// mandatory verify — and writes the blob to stdout or --out.  This is how the committed golden fixture
 // (tests/data/golden_mnist_mlp_mca64.rcp) is regenerated after a format
 // bump, and a convenient way to inspect what a strategy produces:
 //
@@ -11,8 +10,9 @@
 //   resparc-compile --strategy anneal mnist-cnn        searched mapping
 //   resparc-compile --mca 128 --out m.rcp mnist-mlp    write to a file
 //
-// Benchmarks are named by topology (mnist-mlp, mnist-cnn, svhn-mlp,
-// svhn-cnn, cifar-mlp, cifar-cnn).  Exit status: 0 on success, 1 when
+// Strategies are paper, greedy-pack, anneal, beam, or auto for the best of
+// the four.  Benchmarks are named by topology (mnist-mlp, mnist-cnn,
+// svhn-mlp, svhn-cnn, cifar-mlp, cifar-cnn).  Exit status: 0 on success, 1 when
 // compilation fails (including a verifier rejection), 2 on usage errors.
 #include <cstdlib>
 #include <fstream>
@@ -21,6 +21,7 @@
 
 #include "compile/compiler.hpp"
 #include "compile/program.hpp"
+#include "compile/strategy.hpp"
 #include "snn/benchmarks.hpp"
 
 namespace {
@@ -28,8 +29,9 @@ namespace {
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--strategy NAME] [--mca N] [--out FILE] benchmark\n"
-            << "  --strategy NAME  mapping strategy (default \"paper\"; "
-            << "\"auto\" picks the best)\n"
+            << "  --strategy NAME  mapping strategy: "
+            << resparc::compile::strategy_name_list()
+            << "\n                   (default paper; auto picks the best)\n"
             << "  --mca N          crossbar size (default 64)\n"
             << "  --out FILE       write the blob to FILE instead of stdout\n"
             << "  benchmark        mnist-mlp | mnist-cnn | svhn-mlp | "

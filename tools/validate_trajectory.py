@@ -85,6 +85,13 @@ JITTER_SLACK = 0.8
 # jitter slack is needed.
 SEARCH_MAX_ENERGY_RATIO = 0.95
 
+# The mapping-strategy ablation's fixed strategy set (compile/strategy.hpp):
+# every (benchmark, mca) cell holds exactly one row of each.  Both search
+# strategies must use no more energy per classification than the better
+# of the two one-shot mappers in every cell.  The bound is plain <=; the
+# committed snapshot clears it by >= 5.9% in all six cells.
+ABLATION_STRATEGIES = ("paper", "greedy-pack", "anneal", "beam")
+
 # Multi-tenant serving acceptance floor: the >= 4-tenant aggregate
 # throughput over the single-tenant interactive baseline.  The committed
 # snapshot shows the real ratio (>= 2x, docs/serving.md: overlapped batch
@@ -354,6 +361,38 @@ def validate_search_mapping_semantics(results, path, errors):
              "(mixed_sizes == 0)")
 
 
+def validate_ablation_mapping_semantics(results, path, errors):
+    """The mapping-strategy ablation's acceptance properties
+    (docs/compile.md): each (benchmark, mca) cell has exactly the rows
+    ABLATION_STRATEGIES, and in each cell both anneal and beam use no more
+    energy than min(paper, greedy-pack)."""
+    needed = ("benchmark", "mca", "strategy", "energy_uj")
+    rows = [r for r in results
+            if isinstance(r, dict) and all(k in r for k in needed)]
+    if len(rows) != len(results):
+        fail(errors, path, "ablation rows need benchmark, mca, strategy "
+                           "and energy_uj")
+        return
+    cells = {}
+    for r in rows:
+        cells.setdefault((r["benchmark"], r["mca"]), []).append(r)
+    for (benchmark, mca), cell in cells.items():
+        name = f"{benchmark}/mca{mca}"
+        strategies = sorted(r["strategy"] for r in cell)
+        if strategies != sorted(ABLATION_STRATEGIES):
+            fail(errors, path,
+                 f"{name}: strategies {strategies}, expected exactly "
+                 f"{sorted(ABLATION_STRATEGIES)}")
+            continue
+        energy = {r["strategy"]: r["energy_uj"] for r in cell}
+        baseline = min(energy["paper"], energy["greedy-pack"])
+        for search in ("anneal", "beam"):
+            if energy[search] > baseline:
+                fail(errors, path,
+                     f"{name}: {search} energy {energy[search]} uJ above "
+                     f"min(paper, greedy-pack) = {baseline} uJ")
+
+
 def validate_file(path, errors):
     try:
         with open(path, encoding="utf-8") as handle:
@@ -368,6 +407,8 @@ def validate_file(path, errors):
     if results is None:
         return
     validate_rows(doc, results, path, errors)
+    if doc["bench"] == "ablation_mapping_strategy":
+        validate_ablation_mapping_semantics(results, path, errors)
     if doc["bench"] == "bench_sparse_execution":
         validate_sparse_semantics(results, path, errors)
     if doc["bench"] == "pipeline_throughput":
