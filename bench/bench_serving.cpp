@@ -70,7 +70,6 @@ Row run_once(const api::Workload& workload, std::size_t tenants,
   config.queue_capacity = 64;
   config.batch_max = 8;
   config.batch_window = std::chrono::microseconds(200);
-  config.compute_threads = 1;
   serve::Server server(config);
 
   serve::TenantSpec spec;

@@ -83,7 +83,7 @@ class LatencyRecorder {
   /// The tracked stages, in report order.
   enum class Stage : std::size_t {
     kQueue = 0,   ///< submit -> batch dispatch (admission + window wait)
-    kBatch,       ///< wall time of the request's whole batch execution
+    kBatch,       ///< batch dispatch -> this request done
     kCompute,     ///< accelerator model "compute" bucket
     kTransport,   ///< accelerator model "transport" bucket
     kStall,       ///< accelerator model "noc_stall" bucket

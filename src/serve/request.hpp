@@ -4,7 +4,7 @@
 // snn::SpikeTrace (the replay path benches use) or a raw image the server
 // encodes and simulates with the session's own RNG stream before replaying.
 // A serve::Response pairs the per-request api::ExecutionReport with the
-// serving-layer latency stamps (queue wait, batch wall time) that the
+// serving-layer latency stamps (queue wait, time in its batch) that the
 // accelerator model cannot know about.
 //
 // Serving failures are reported as ServeError with a stable RS-* code
@@ -84,7 +84,7 @@ struct Response {
 
   // Serving-layer latency stamps, all in wall nanoseconds:
   std::uint64_t queue_ns = 0;   ///< submit -> batch dispatch wait
-  std::uint64_t batch_ns = 0;   ///< wall time of the whole batch execution
+  std::uint64_t batch_ns = 0;   ///< batch dispatch -> this request done
   std::uint64_t total_ns = 0;   ///< submit -> response published
 };
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "api/backends.hpp"
-#include "api/pipeline.hpp"
 #include "common/rng.hpp"
 
 namespace resparc::serve {
@@ -95,10 +94,8 @@ void Server::add_tenant(const std::string& name, TenantSpec spec) {
   if (state->canary_enabled) {
     state->canary = make_canary_trace(s.topology, /*timesteps=*/4,
                                       stream_seed(config_.seed, 0xCA9A59ull));
-    const auto reference = build_replica(s.options);
-    std::vector<api::ExecutionReport> reports;
-    api::Pipeline::execute_each(*reference, {&state->canary, 1}, reports, 1);
-    state->canary_reference = canary_signature(reports.front());
+    state->canary_reference =
+        canary_signature(build_replica(s.options)->execute(state->canary));
   }
 
   MutexLock lock(mutex_);
@@ -219,7 +216,7 @@ void Server::dispatcher_loop(std::size_t id) {
       lock.unlock();
       abandon_batch(dead, kErrReplicaDegraded, why);
       lock.lock();
-      stats_.completed += dead.size();
+      stats_.failed += dead.size();
       cv_.notify_all();
       continue;
     }
@@ -232,8 +229,12 @@ void Server::dispatcher_loop(std::size_t id) {
       continue;
     }
 
-    // Form the batch and check out a replica.
-    const std::size_t take = std::min(config_.batch_max, pick->queue.size());
+    // Form the batch and check out a replica.  The cut is this replica's
+    // fair share of the queue, so queued work spreads over every free
+    // replica instead of piling onto the first one checked out.
+    const std::size_t idle = pick->free_replicas.size();
+    const std::size_t take = std::min(config_.batch_max,
+                                      (pick->queue.size() + idle - 1) / idle);
     std::vector<Pending> batch;
     batch.reserve(take);
     for (std::size_t i = 0; i < take; ++i) {
@@ -254,9 +255,11 @@ void Server::dispatcher_loop(std::size_t id) {
     // (never returned to free_replicas), so the tenant keeps serving at
     // reduced capacity on whatever remains healthy.
     std::size_t attempt = 0;
+    std::size_t published = 0;
     for (;;) {
       if (check_replica(*pick, replica)) {
-        execute_batch(*pick, replica, std::move(batch), Clock::now());
+        published =
+            execute_batch(*pick, replica, std::move(batch), Clock::now());
         lock.lock();
         pick->free_replicas.push_back(replica);
         break;
@@ -306,7 +309,8 @@ void Server::dispatcher_loop(std::size_t id) {
     }
 
     --inflight_;
-    stats_.completed += take;
+    stats_.completed += published;
+    stats_.failed += take - published;
     // Wake peers: the freed replica may unblock this tenant's next
     // batch, and drain()/shutdown() waiters recheck their predicates.
     cv_.notify_all();
@@ -325,10 +329,8 @@ bool Server::check_replica(TenantState& tenant, std::size_t replica) {
   // divergence: a replica that cannot replay the probe cannot serve.
   bool ok = false;
   try {
-    std::vector<api::ExecutionReport> reports;
-    api::Pipeline::execute_each(*tenant.replicas[replica],
-                                {&tenant.canary, 1}, reports, 1);
-    ok = canary_signature(reports.front()) == tenant.canary_reference;
+    ok = canary_signature(tenant.replicas[replica]->execute(tenant.canary)) ==
+         tenant.canary_reference;
   } catch (...) {
     ok = false;
   }
@@ -351,25 +353,23 @@ void Server::abandon_batch(std::vector<Pending>& batch, const char* code,
                       std::make_exception_ptr(ServeError(why, code)));
 }
 
-void Server::execute_batch(TenantState& tenant, std::size_t replica,
-                           std::vector<Pending> batch,
-                           Clock::time_point dispatch) {
-  const std::size_t n = batch.size();
-  std::vector<snn::SpikeTrace> traces;
-  std::vector<std::size_t> predicted(n, 0);
-  std::vector<char> simulated(n, 0);
-  std::vector<std::size_t> live;  // batch indices that reached execution
-  traces.reserve(n);
-  live.reserve(n);
-
-  // Materialise every request's trace.  A request that fails to simulate
-  // (malformed image) is abandoned individually — one bad request must
-  // not poison its batchmates.
-  for (std::size_t i = 0; i < n; ++i) {
-    Pending& pending = batch[i];
+std::size_t Server::execute_batch(TenantState& tenant, std::size_t replica,
+                                  std::vector<Pending> batch,
+                                  Clock::time_point dispatch) {
+  // One request at a time: simulate (raw images), replay, then publish
+  // before starting the next, so a response never waits on its
+  // batchmates.  A request that fails to simulate or replay (malformed
+  // image) is abandoned on its own — it must not poison its batchmates.
+  const api::Accelerator& accelerator = *tenant.replicas[replica];
+  std::size_t published = 0;
+  for (Pending& pending : batch) {
     try {
+      Response response;
+      response.session = pending.session;
+      response.sequence = pending.sequence;
+      response.batch_size = batch.size();
       if (pending.request.has_trace()) {
-        traces.push_back(std::move(pending.request.trace));
+        response.report = accelerator.execute(pending.request.trace);
       } else {
         auto& simulator = tenant.simulators[replica];
         // Only the dispatcher holding the checked-out replica touches
@@ -378,43 +378,25 @@ void Server::execute_batch(TenantState& tenant, std::size_t replica,
           simulator = std::make_unique<snn::Simulator>(*tenant.spec.network,
                                                        tenant.spec.sim);
         Rng rng(pending.seed);
-        snn::SimResult result = simulator->run(pending.request.image, rng);
-        predicted[i] = result.predicted_class;
-        simulated[i] = 1;
-        traces.push_back(std::move(result.trace));
+        const snn::SimResult result =
+            simulator->run(pending.request.image, rng);
+        response.predicted_class = result.predicted_class;
+        response.simulated = true;
+        response.report = accelerator.execute(result.trace);
       }
-      live.push_back(i);
-    } catch (...) {
-      sessions_.abandon(pending.session, pending.sequence,
-                        std::current_exception());
-    }
-  }
-
-  try {
-    std::vector<api::ExecutionReport> reports;
-    api::Pipeline::execute_each(*tenant.replicas[replica], traces, reports,
-                                config_.compute_threads);
-    const auto done = Clock::now();
-    for (std::size_t j = 0; j < live.size(); ++j) {
-      const Pending& pending = batch[live[j]];
-      Response response;
-      response.session = pending.session;
-      response.sequence = pending.sequence;
-      response.predicted_class = predicted[live[j]];
-      response.simulated = simulated[live[j]] != 0;
-      response.batch_size = n;
-      response.report = std::move(reports[j]);
+      const auto done = Clock::now();
       response.queue_ns = wall_ns(dispatch - pending.submitted);
       response.batch_ns = wall_ns(done - dispatch);
       response.total_ns = wall_ns(done - pending.submitted);
       recorder_.record_response(response);
       sessions_.publish(std::move(response));
-    }
-  } catch (...) {
-    for (const std::size_t i : live)
-      sessions_.abandon(batch[i].session, batch[i].sequence,
+      ++published;
+    } catch (...) {
+      sessions_.abandon(pending.session, pending.sequence,
                         std::current_exception());
+    }
   }
+  return published;
 }
 
 void Server::drain() {

@@ -13,18 +13,21 @@
 // The moving parts:
 //  * Admission: per-tenant bounded FIFO queues; a full queue rejects the
 //    submit with RS-QUEUE-FULL instead of blocking the producer.
-//  * Batch formation: a request is dispatched when its tenant has
+//  * Batch formation: a tenant's queue is dispatched when it has
 //    batch_max requests queued OR the oldest one has waited batch_window
-//    (time/size-windowed batching).  Requests execute per-trace, so how
-//    a batch was cut can never change any result — only amortised
-//    scheduling cost (test-enforced batch-window invariance).
+//    (time/size-windowed batching).  A batch takes the replica's fair
+//    share of the queue — ceil(queued / free replicas), at most
+//    batch_max — so queued work spreads over every free replica.
+//    Requests execute one at a time, so how a batch was cut can never
+//    change any result (test-enforced batch-window invariance).
 //  * Replicas: each tenant owns `replicas` loaded accelerator instances;
 //    RESPARC tenants compile once through the shared ProgramCache and
 //    load the same program into every replica.
 //  * Dispatchers: a fixed pool of threads forms batches (rotating
 //    round-robin over tenants for fairness), checks out a free replica,
-//    executes via api::Pipeline::execute_each, and publishes responses
-//    through the SessionManager's ordered delivery.
+//    and runs the batch's requests one by one — simulate (raw images),
+//    replay, publish — so each response goes out through the
+//    SessionManager's ordered delivery as soon as it is ready.
 //  * Accounting: every response feeds the lock-free LatencyRecorder
 //    (queue/batch/compute/transport/stall/total percentiles).
 //  * Degradation: tenants binding per-replica fault seeds
@@ -62,7 +65,7 @@ namespace resparc::serve {
 /// Server sizing and scheduling knobs.
 struct ServerConfig {
   /// Loaded accelerator instances per tenant (the tenant's maximum
-  /// in-flight batch parallelism).
+  /// in-flight batch parallelism, also bounded by `dispatchers`).
   std::size_t replicas = 1;
   /// Dispatcher threads shared by all tenants (0 = one per hardware
   /// thread, capped at 8).
@@ -75,10 +78,6 @@ struct ServerConfig {
   /// Maximum time the oldest queued request waits before its batch is
   /// dispatched anyway (0 = dispatch immediately).
   std::chrono::microseconds batch_window{200};
-  /// ThreadPool workers per batch execution (1 = execute inline on the
-  /// dispatcher; >1 fans the batch over the global pool, the small-burst
-  /// pattern tests/test_thread_pool.cpp stresses).
-  std::size_t compute_threads = 1;
   /// Master seed deriving every session's RNG stream.
   std::uint64_t seed = 7;
   /// Compiled-program cache (directory "" = no persistence).
@@ -97,6 +96,7 @@ struct ServerStats {
   std::uint64_t submitted = 0;   ///< requests admitted into a queue
   std::uint64_t rejected = 0;    ///< requests refused (queue full)
   std::uint64_t completed = 0;   ///< responses published
+  std::uint64_t failed = 0;      ///< requests that finished with an error
   std::uint64_t batches = 0;     ///< batches dispatched
   std::uint64_t max_batch = 0;   ///< largest batch formed
 
@@ -195,10 +195,12 @@ class Server {
   };
 
   void dispatcher_loop(std::size_t id);
-  /// Executes one formed batch on a checked-out replica (no lock held)
-  /// and publishes its responses.
-  void execute_batch(TenantState& tenant, std::size_t replica,
-                     std::vector<Pending> batch, Clock::time_point dispatch);
+  /// Executes one formed batch on a checked-out replica (no lock held),
+  /// publishing each response as soon as it is ready; failed requests
+  /// are abandoned one by one.  Returns how many responses it published.
+  std::size_t execute_batch(TenantState& tenant, std::size_t replica,
+                            std::vector<Pending> batch,
+                            Clock::time_point dispatch);
   /// Runs the replica's first-checkout canary when armed and not yet
   /// done (no lock held during the replay).  Returns false when the
   /// replica is degraded — the caller must not serve on it; a degraded

@@ -129,6 +129,7 @@ TEST_F(ServeDegradedTest, DegradedReplicaRetiresAndServingContinues) {
 
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.completed, kRequests);
+  EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.degraded_replicas, 1u);
   EXPECT_GE(stats.retries, 1u);
   // Both replicas were probed exactly once.
@@ -166,6 +167,9 @@ TEST_F(ServeDegradedTest, AllReplicasDegradedFailsRequestsWithCode) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.degraded_replicas, 2u);
   EXPECT_EQ(stats.canary_checks, 2u);
+  // Failures are not published responses.
+  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(stats.failed, futures.size());
 
   // The tenant now rejects at admission: no healthy silicon remains.
   EXPECT_EQ(code_of([&] { server.submit(s, {.trace = trace(0)}); }),
@@ -194,7 +198,11 @@ TEST_F(ServeDegradedTest, RetryBudgetExhaustionSurfacesByCode) {
   // The pristine replica 0 still serves follow-up requests.
   auto ok = server.submit(s, {.trace = trace(1)});
   EXPECT_NO_THROW(ok.get());
-  EXPECT_EQ(server.stats().degraded_replicas, 1u);
+  server.drain();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.degraded_replicas, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, 1u);
 }
 
 // An armed canary over pristine replicas is a no-op: every probe passes

@@ -1,8 +1,10 @@
 // The multi-tenant serving subsystem (src/serve, docs/serving.md): RS-*
 // error codes asserted by Error::code(), warm/corrupt program-cache
 // behaviour with its hit counters, per-session ordered delivery, batch-
-// window invariance of per-request results, cross-session determinism
-// under co-tenant load, and the latency recorder's HDR quantiles.
+// window invariance of per-request results, fair-share batch cuts,
+// per-request publish and failure isolation within a batch, cross-session
+// determinism under co-tenant load, and the latency recorder's HDR
+// quantiles.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -342,6 +344,70 @@ TEST_F(ServeTest, BatchWindowCannotChangeResults) {
   EXPECT_TRUE(saw_real_batch) << "the batched run never formed a real batch";
 }
 
+TEST_F(ServeTest, FairShareSpreadsQueuedWorkOverFreeReplicas) {
+  // The 10 s window holds the queue until batch_max requests arrive; the
+  // full queue is then cut into ceil(8 / 4 free replicas) = 2-request
+  // batches instead of one batch of 8 on a single replica.
+  Server server({.replicas = 4,
+                 .dispatchers = 4,
+                 .batch_max = 8,
+                 .batch_window = std::chrono::microseconds(10'000'000)});
+  server.add_tenant("t", trace_tenant());
+  const SessionId s = server.open_session("t");
+  std::vector<std::future<Response>> futures;
+  for (std::size_t i = 0; i < 8; ++i)
+    futures.push_back(server.submit(s, {.trace = trace(i)}));
+
+  std::vector<Response> responses;
+  for (std::size_t i = 0; i < 2; ++i) responses.push_back(futures[i].get());
+  EXPECT_EQ(responses[0].batch_size, 2u);
+  EXPECT_EQ(responses[1].batch_size, 2u);
+  server.drain();
+  for (std::size_t i = 2; i < futures.size(); ++i)
+    responses.push_back(futures[i].get());
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    EXPECT_EQ(responses[i].sequence, i);
+    EXPECT_GT(responses[i].report.energy_pj, 0.0) << i;
+    // Each cut removes ceil(queued / free) requests and one free
+    // replica, so queued <= 2 x free holds throughout: no cut exceeds 2.
+    EXPECT_LE(responses[i].batch_size, 2u) << i;
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.completed, 8u);
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.max_batch, 2u);
+}
+
+TEST_F(ServeTest, ResponsesPublishAsEachRequestFinishes) {
+  // One replica, one batch of four image requests: each response is
+  // stamped and published when its own request is done, not when the
+  // whole batch is.
+  Server server({.replicas = 1,
+                 .dispatchers = 1,
+                 .batch_max = 4,
+                 .batch_window = std::chrono::microseconds(10'000'000)});
+  server.add_tenant("vision", image_tenant());
+  const SessionId s = server.open_session("vision");
+  std::vector<std::future<Response>> futures;
+  for (std::size_t i = 0; i < 4; ++i)
+    futures.push_back(server.submit(s, {.image = image(i)}));
+
+  std::vector<Response> responses;
+  for (auto& f : futures) responses.push_back(f.get());
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    EXPECT_EQ(responses[i].batch_size, 4u) << i;
+    EXPECT_TRUE(responses[i].simulated) << i;
+    EXPECT_EQ(responses[i].queue_ns + responses[i].batch_ns,
+              responses[i].total_ns)
+        << i;
+  }
+  // The batch shares one dispatch stamp, so strictly increasing batch_ns
+  // means strictly increasing done stamps; total_ns is pinned to the same
+  // done stamp above (total_ns alone also moves with the submit gaps).
+  for (std::size_t i = 1; i < responses.size(); ++i)
+    EXPECT_GT(responses[i].batch_ns, responses[i - 1].batch_ns) << i;
+}
+
 // ---------------------------------------------------------- determinism --
 
 TEST_F(ServeTest, SessionResultsAreImmuneToCoTenantLoad) {
@@ -396,6 +462,65 @@ TEST_F(ServeTest, SessionResultsAreImmuneToCoTenantLoad) {
   stop.store(true);
   co_tenant.join();
   server.drain();
+}
+
+TEST_F(ServeTest, OneBadRequestDoesNotFailItsBatchmates) {
+  constexpr std::uint64_t kSeed = 0xba7cULL;
+  // A wrong-length image fails to simulate; it sits between two good
+  // requests of the same batch.
+  const std::vector<Request> requests = {
+      {.image = image(0)},
+      {.image = std::vector<float>(image(0).size() + 1, 0.5f)},
+      {.image = image(1)}};
+
+  // Reference: each request alone on an idle server, same session seed.
+  std::vector<Response> reference;
+  {
+    Server server({.replicas = 1,
+                   .dispatchers = 1,
+                   .batch_max = 1,
+                   .batch_window = std::chrono::microseconds(0)});
+    server.add_tenant("vision", image_tenant());
+    const SessionId s = server.open_session("vision", {.seed = kSeed});
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      auto f = server.submit(s, requests[i]);
+      if (i == 1)
+        EXPECT_ANY_THROW(f.get());
+      else
+        reference.push_back(f.get());
+    }
+  }
+
+  // The 10 s window holds all three until batch_max arrive: one batch.
+  Server server({.replicas = 1,
+                 .dispatchers = 1,
+                 .batch_max = 3,
+                 .batch_window = std::chrono::microseconds(10'000'000)});
+  server.add_tenant("vision", image_tenant());
+  const SessionId s = server.open_session("vision", {.seed = kSeed});
+  std::vector<std::future<Response>> futures;
+  for (const Request& request : requests)
+    futures.push_back(server.submit(s, request));
+
+  const Response first = futures[0].get();
+  EXPECT_ANY_THROW(futures[1].get());
+  const Response last = futures[2].get();
+  for (const auto& [got, want] : {std::pair{&first, &reference[0]},
+                                  std::pair{&last, &reference[1]}}) {
+    EXPECT_EQ(got->batch_size, 3u);
+    EXPECT_EQ(got->predicted_class, want->predicted_class);
+    EXPECT_EQ(got->report.energy_pj, want->report.energy_pj);
+    EXPECT_EQ(got->report.latency_ns, want->report.latency_ns);
+    EXPECT_EQ(got->report.throughput_hz, want->report.throughput_hz);
+    EXPECT_EQ(got->report.energy_breakdown_pj,
+              want->report.energy_breakdown_pj);
+    EXPECT_EQ(got->report.latency_breakdown_ns,
+              want->report.latency_breakdown_ns);
+  }
+  server.drain();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.completed, 2u);
 }
 
 TEST_F(ServeTest, SessionsOwnDecorrelatedSeedStreams) {

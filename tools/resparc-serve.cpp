@@ -14,8 +14,10 @@
 //
 // Exit status: 0 on success, 2 on usage errors, 1 on serving failures.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
+#include <cstdint>
+#include <cstring>
 #include <deque>
 #include <future>
 #include <iostream>
@@ -42,7 +44,8 @@ int usage(const char* argv0) {
       << "  --requests N      requests per tenant            (default 64)\n"
       << "  --replicas N      loaded replicas per tenant     (default 1)\n"
       << "  --batch-max N     max requests per batch         (default 8)\n"
-      << "  --window-us N     batch window in microseconds   (default 100)\n"
+      << "  --window-us N     batch window in microseconds,\n"
+      << "                    0 = dispatch immediately       (default 100)\n"
       << "  --images N        distinct traces in the workload(default 8)\n"
       << "  --timesteps N     presentation length            (default 16)\n"
       << "  --seed N          server master seed             (default 7)\n"
@@ -79,10 +82,14 @@ int main(int argc, char** argv) {
   Options opts;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](auto& out) {
+    // The next argument as a whole decimal number >= min.
+    auto next = [&](auto& out, std::uint64_t min = 1) {
       if (i + 1 >= argc) return false;
-      const long v = std::atol(argv[++i]);
-      if (v <= 0) return false;
+      const char* text = argv[++i];
+      const char* end = text + std::strlen(text);
+      std::uint64_t v = 0;
+      const auto [ptr, ec] = std::from_chars(text, end, v);
+      if (ec != std::errc() || ptr != end || v < min) return false;
       out = static_cast<std::remove_reference_t<decltype(out)>>(v);
       return true;
     };
@@ -103,7 +110,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--batch-max") {
       if (!next(opts.batch_max)) return usage(argv[0]);
     } else if (arg == "--window-us") {
-      if (!next(opts.window_us)) return usage(argv[0]);
+      if (!next(opts.window_us, 0)) return usage(argv[0]);
     } else if (arg == "--images") {
       if (!next(opts.images)) return usage(argv[0]);
     } else if (arg == "--timesteps") {
@@ -133,7 +140,10 @@ int main(int argc, char** argv) {
 
     serve::ServerConfig config;
     config.replicas = opts.replicas;
-    config.dispatchers = std::max<std::size_t>(opts.tenants, 2);
+    // One dispatcher per replica, so every replica can have a batch in
+    // flight.
+    config.dispatchers =
+        std::max<std::size_t>(opts.tenants * opts.replicas, 2);
     config.batch_max = opts.batch_max;
     config.batch_window = std::chrono::microseconds(opts.window_us);
     config.seed = opts.seed;
@@ -184,6 +194,7 @@ int main(int argc, char** argv) {
       std::cout << "{\"benchmark\": \"" << opts.benchmark << "\", \"backend\": \""
                 << opts.backend << "\", \"tenants\": " << opts.tenants
                 << ", \"completed\": " << stats.completed
+                << ", \"failed\": " << stats.failed
                 << ", \"rejected\": " << stats.rejected
                 << ", \"batches\": " << stats.batches
                 << ", \"max_batch\": " << stats.max_batch
@@ -197,8 +208,9 @@ int main(int argc, char** argv) {
       std::cout << "benchmark " << opts.benchmark << " on " << opts.backend
                 << ": " << opts.tenants << " tenant(s) x " << opts.requests
                 << " requests\n"
-                << "completed " << stats.completed << " (" << stats.rejected
-                << " rejected) in " << stats.batches << " batches (max "
+                << "completed " << stats.completed << " (" << stats.failed
+                << " failed, " << stats.rejected << " rejected) in "
+                << stats.batches << " batches (max "
                 << stats.max_batch << ") — " << rps << " req/s\n"
                 << "program cache: " << cache.memory_hits << " memory hits, "
                 << cache.disk_hits << " disk hits, " << cache.misses
