@@ -25,8 +25,9 @@
 namespace resparc::kernels {
 
 /// acc[i] += row[i] for i in [0, n) — the spike-driven row accumulate.
-/// One active input row of a crossbar/weight matrix is added onto the
-/// output accumulator in ascending column order.
+/// One active input row of a crossbar/weight matrix (or one conv tap's
+/// output channels, snn/scatter.cpp) is added onto the output
+/// accumulator in ascending column order.
 inline void row_add(float* __restrict acc, const float* __restrict row,
                     std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) acc[i] += row[i];
@@ -48,14 +49,6 @@ inline void row_add4(float* __restrict acc, const float* __restrict r0,
     v += r3[i];
     acc[i] = v;
   }
-}
-
-/// acc[i * stride] += row[i] for i in [0, n) — the conv scatter inner
-/// loop (one kernel-tap weight row added across output channels, whose
-/// feature maps are `stride` apart).
-inline void row_add_strided(float* __restrict acc, std::size_t stride,
-                            const float* __restrict row, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc[i * stride] += row[i];
 }
 
 /// y[i] += a * x[i] for i in [0, n).

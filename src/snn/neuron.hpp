@@ -41,10 +41,12 @@ class IfPopulation {
   /// decisions, but spikes go straight into `out`'s 64-bit words (one
   /// SpikeVector::set_word per 64 neurons) instead of a byte buffer —
   /// the producer side of the packed datapath (docs/performance.md).
-  /// `out` must be sized to the population; every word is fully
-  /// overwritten, so no stale bit survives from a previous step.
-  /// Returns the number of neurons that fired.  Bit-for-bit the same
-  /// spikes and membranes as step() (tests/test_differential.cpp).
+  /// The loop is branch-free (leak and reset mode chosen once per call,
+  /// fire/no-fire a select), so it vectorizes.  `out` must be sized to
+  /// the population; every word is fully overwritten, so no stale bit
+  /// survives from a previous step.  Returns the number of neurons that
+  /// fired.  Bit-for-bit the same spikes and membranes as step()
+  /// (tests/test_neuron.cpp, tests/test_differential.cpp).
   std::size_t step_packed(std::span<const float> current, SpikeVector& out);
 
   /// Sparse variant of step(): integrates `current` for just the neurons

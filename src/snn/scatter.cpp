@@ -55,13 +55,19 @@ struct PackedEvents {
 // index-list and packed paths cannot drift apart.
 
 /// Scatter form of the convolution: input (c,y,x) feeds output
-/// (oc, y-ky+pad, x-kx+pad) with kernel weight row (c*k+ky)*k+kx — one
-/// weight per output channel, feature maps out.h*out.w apart.  Partition =
-/// output-channel slice.
+/// (oc, y-ky+pad, x-kx+pad) with kernel weight row (c*k+ky)*k+kx, one
+/// weight per output channel.  The taps accumulate into the
+/// position-major `scratch` ([out.h*out.w][out.c]), where one tap's
+/// output channels are contiguous, so each tap is one unit-stride
+/// row_add, the way one crossbar row drives all its columns at once.
+/// A final pass copies the sums into CHW `current` and re-zeroes the
+/// scratch.  Per output element the additions run in event order, then
+/// (ky, kx) order, starting from +0.0.  Partition = output-channel
+/// slice, of both `current` and `scratch`.
 template <typename Events>
 void scatter_conv(const LayerInfo& li, const Matrix& w, const Events& each,
-                  std::span<float> current, std::size_t part,
-                  std::size_t parts) {
+                  std::span<float> current, std::span<float> scratch,
+                  std::size_t part, std::size_t parts) {
   const Shape3 in_shape = li.in_shape;
   const Shape3 out = li.out_shape;
   const std::size_t k = li.spec.kernel;
@@ -69,6 +75,8 @@ void scatter_conv(const LayerInfo& li, const Matrix& w, const Events& each,
   const std::size_t plane = out.h * out.w;
   const auto [oc0, oc1] = slice_of(out.c, part, parts);
   if (oc1 == oc0) return;
+  const std::size_t width = oc1 - oc0;
+  float* const slice = scratch.data() + oc0;  // position p at slice + p*out.c
   each([&](const std::uint32_t idx) {
     const std::size_t c = idx / (in_shape.h * in_shape.w);
     const std::size_t rem = idx % (in_shape.h * in_shape.w);
@@ -83,13 +91,19 @@ void scatter_conv(const LayerInfo& li, const Matrix& w, const Events& each,
             static_cast<std::ptrdiff_t>(x + pad) - static_cast<std::ptrdiff_t>(kx);
         if (ox < 0 || ox >= static_cast<std::ptrdiff_t>(out.w)) continue;
         const std::size_t wrow = (c * k + ky) * k + kx;
-        const std::size_t base =
+        const std::size_t pos =
             static_cast<std::size_t>(oy) * out.w + static_cast<std::size_t>(ox);
-        kernels::row_add_strided(current.data() + oc0 * plane + base, plane,
-                                 w.row(wrow).data() + oc0, oc1 - oc0);
+        kernels::row_add(slice + pos * out.c, w.row(wrow).data() + oc0, width);
       }
     }
   });
+  for (std::size_t oc = oc0; oc < oc1; ++oc) {
+    float* const dst = current.data() + oc * plane;
+    const float* const src = scratch.data() + oc;
+    for (std::size_t pos = 0; pos < plane; ++pos) dst[pos] = src[pos * out.c];
+  }
+  for (std::size_t pos = 0; pos < plane; ++pos)
+    std::fill_n(slice + pos * out.c, width, 0.0f);
 }
 
 /// Each event touches exactly one output; partition = output-index slice,
@@ -115,10 +129,14 @@ void scatter_pool(const LayerInfo& li, const Events& each,
 
 }  // namespace
 
+std::size_t scatter_scratch_size(const LayerInfo& li) {
+  return li.spec.kind == LayerKind::kConv ? li.neurons : 0;
+}
+
 void scatter_accumulate(const LayerInfo& li, const Matrix& w,
                         std::span<const std::uint32_t> in_active,
-                        std::span<float> current, std::size_t part,
-                        std::size_t parts) {
+                        std::span<float> current, std::span<float> scratch,
+                        std::size_t part, std::size_t parts) {
   switch (li.spec.kind) {
     case LayerKind::kDense: {
       // Partition = column slice; every event drives every column, so the
@@ -129,7 +147,8 @@ void scatter_accumulate(const LayerInfo& li, const Matrix& w,
       break;
     }
     case LayerKind::kConv:
-      scatter_conv(li, w, IndexEvents{in_active}, current, part, parts);
+      scatter_conv(li, w, IndexEvents{in_active}, current, scratch, part,
+                   parts);
       break;
     case LayerKind::kAvgPool:
       scatter_pool(li, IndexEvents{in_active}, current, part, parts);
@@ -139,7 +158,8 @@ void scatter_accumulate(const LayerInfo& li, const Matrix& w,
 
 void scatter_accumulate(const LayerInfo& li, const Matrix& w,
                         const SpikeVector& in, std::span<float> current,
-                        std::size_t part, std::size_t parts) {
+                        std::span<float> scratch, std::size_t part,
+                        std::size_t parts) {
   switch (li.spec.kind) {
     case LayerKind::kDense: {
       // masked_row_accumulate replicates accumulate_rows' row_add4
@@ -152,7 +172,7 @@ void scatter_accumulate(const LayerInfo& li, const Matrix& w,
       break;
     }
     case LayerKind::kConv:
-      scatter_conv(li, w, PackedEvents{in}, current, part, parts);
+      scatter_conv(li, w, PackedEvents{in}, current, scratch, part, parts);
       break;
     case LayerKind::kAvgPool:
       scatter_pool(li, PackedEvents{in}, current, part, parts);

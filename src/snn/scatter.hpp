@@ -26,26 +26,38 @@
 
 namespace resparc::snn {
 
+/// Floats of position-major scratch scatter_accumulate needs for layer
+/// `li`: the population for conv layers, 0 for dense and pool layers.
+std::size_t scatter_scratch_size(const LayerInfo& li);
+
 /// Scatters the fan-out of `in_active` (ascending input indices) of a
 /// layer described by `li` with weight matrix `w` (empty for pool
 /// layers) into `current`, writing only the output slice owned by
-/// partition `part` of `parts`.  `current` is NOT zeroed — callers own
-/// the all-zero (or carry-over) invariant.
+/// partition `part` of `parts`.  `current` must be zero in that slice:
+/// the call does not zero it, callers own the all-zero invariant.
+/// Conv layers also need the caller's `scratch`, scatter_scratch_size(li)
+/// floats, all zero: they sum each tap into it position-major
+/// ([out.h*out.w][out.c]), copy the sums over their slice of `current`
+/// and hand the scratch back all-zero.  Partitions use disjoint channel
+/// slices of it, so one scratch serves every partition of a layer.
+/// Dense and pool layers ignore `scratch` (it may be empty).
 void scatter_accumulate(const LayerInfo& li, const Matrix& w,
                         std::span<const std::uint32_t> in_active,
-                        std::span<float> current, std::size_t part = 0,
-                        std::size_t parts = 1);
+                        std::span<float> current, std::span<float> scratch,
+                        std::size_t part = 0, std::size_t parts = 1);
 
-/// Packed-spike form of scatter_accumulate: input events arrive as the
-/// SpikeVector's 64-bit words instead of an index list, so no AER list is
-/// materialized.  Set bits are decoded in ascending order — the order
-/// append_active() emits — and dense layers run
-/// kernels::masked_row_accumulate straight off the words, so the result
-/// is bit-for-bit identical to the index-list overload on the same spike
-/// pattern (tests/test_differential.cpp).  This is the scatter of the
-/// engine's full-drive step (docs/execution.md).
+/// Packed-spike form of scatter_accumulate, with the same `current` and
+/// `scratch` contract: input events arrive as the SpikeVector's 64-bit
+/// words instead of an index list, so no AER list is materialized.  Set
+/// bits are decoded in ascending order — the order append_active()
+/// emits — and dense layers run kernels::masked_row_accumulate straight
+/// off the words, so the result is bit-for-bit identical to the
+/// index-list overload on the same spike pattern
+/// (tests/test_differential.cpp).  This is the scatter of the engine's
+/// full-drive step (docs/execution.md).
 void scatter_accumulate(const LayerInfo& li, const Matrix& w,
                         const SpikeVector& in, std::span<float> current,
-                        std::size_t part = 0, std::size_t parts = 1);
+                        std::span<float> scratch, std::size_t part = 0,
+                        std::size_t parts = 1);
 
 }  // namespace resparc::snn

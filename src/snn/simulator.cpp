@@ -27,17 +27,21 @@ void begin_result(const Topology& topo, std::size_t T, bool record_trace,
 /// The naive dense layer step shared by simulate_reference and
 /// observe_currents: fresh populations for the first `layers` layers,
 /// every neuron stepped every step (index-list scatter, byte-output
-/// IfPopulation::step).
+/// IfPopulation::step).  Layers run one at a time, so they share one
+/// conv scatter scratch sized for the largest.
 class DenseLayers {
  public:
   DenseLayers(const Network& net, std::size_t layers) : net_(net) {
+    std::size_t scratch = 0;
     for (std::size_t l = 0; l < layers; ++l) {
-      const std::size_t n = net.topology().layers()[l].neurons;
-      pops_.emplace_back(n, net.layer(l).neuron);
-      currents_.emplace_back(n, 0.0f);
-      spike_bytes_.emplace_back(n, std::uint8_t{0});
+      const LayerInfo& li = net.topology().layers()[l];
+      pops_.emplace_back(li.neurons, net.layer(l).neuron);
+      currents_.emplace_back(li.neurons, 0.0f);
+      spike_bytes_.emplace_back(li.neurons, std::uint8_t{0});
+      scratch = std::max(scratch, scatter_scratch_size(li));
     }
     spikes_.resize(layers);
+    scratch_.assign(scratch, 0.0f);
   }
 
   /// Scatters `in` into layer `l`'s current buffer (zeroed first) and
@@ -47,7 +51,7 @@ class DenseLayers {
     in.append_active(active_);
     std::fill(currents_[l].begin(), currents_[l].end(), 0.0f);
     scatter_accumulate(net_.topology().layers()[l], net_.layer(l).weights,
-                       active_, currents_[l]);
+                       active_, currents_[l], scratch_);
     return currents_[l];
   }
 
@@ -66,6 +70,7 @@ class DenseLayers {
   std::vector<std::vector<std::uint8_t>> spike_bytes_;
   std::vector<SpikeVector> spikes_;
   std::vector<std::uint32_t> active_;
+  std::vector<float> scratch_;  ///< all-zero between accumulate() calls
 };
 
 /// Argmax of the output spike counts (first maximum wins).

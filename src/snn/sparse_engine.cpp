@@ -16,6 +16,7 @@ SparseEngine::SparseEngine(const Network& net) : net_(net) {
     const IfParams& p = net.layer(l).neuron;
     state_.emplace_back(li.neurons, p);
     LayerState& st = state_.back();
+    st.scratch.assign(scatter_scratch_size(li), 0.0f);
     // Any event into a fully connected layer drives every output column,
     // so per-column stamping is pure overhead there.
     st.all_touched = li.spec.kind == LayerKind::kDense;
@@ -41,7 +42,8 @@ SparseEngine::SparseEngine(const Network& net) : net_(net) {
   pool_fn_ = [this](std::size_t part, std::size_t /*worker*/) {
     scatter_accumulate(net_.topology().layers()[job_layer_],
                        net_.layer(job_layer_).weights, *job_in_,
-                       state_[job_layer_].current, part, pool_parts_);
+                       state_[job_layer_].current, state_[job_layer_].scratch,
+                       part, pool_parts_);
   };
 }
 
@@ -69,10 +71,11 @@ void SparseEngine::accumulate_stamped(std::size_t l,
     }
   };
 
-  // The loop bodies below mirror snn/scatter.cpp exactly — same event
-  // order, same addition order — so the floating-point result is
-  // bit-for-bit identical to the full-drive scatter (each output element
-  // sees one plain add per touching event either way).  Dense layers
+  // Each output element sees the same additions in the same order as in
+  // snn/scatter.cpp — ascending events, then (ky, kx), starting from the
+  // all-zero buffer — so the floating-point result is bit-for-bit
+  // identical to the full-drive scatter, although this loop adds straight
+  // into the CHW buffer to stamp each column it writes.  Dense layers
   // never get here: any event saturates them.
   if (li.spec.kind == LayerKind::kConv) {
     const Matrix& w = net_.layer(l).weights;  // (inC*k*k) x outC
@@ -132,7 +135,7 @@ void SparseEngine::scatter_full(std::size_t l, const SpikeVector& in,
     pool_->run_indexed(pool_parts_, pool_parts_, pool_fn_);
     return;
   }
-  scatter_accumulate(li, net_.layer(l).weights, in, st.current);
+  scatter_accumulate(li, net_.layer(l).weights, in, st.current, st.scratch);
 }
 
 void SparseEngine::reset() {

@@ -81,6 +81,9 @@ class SparseEngine {
   struct LayerState {
     IfPopulation pop;                 ///< membranes (engine-owned)
     std::vector<float> current;       ///< all-zero between steps
+    /// Conv layers' position-major full-drive scratch (snn/scatter.hpp),
+    /// all-zero between steps; empty for other kinds.
+    std::vector<float> scratch;
     std::vector<std::uint32_t> touched;  ///< columns written this step
     std::vector<std::uint32_t> stamp;    ///< epoch marks backing `touched`
     std::vector<std::uint32_t> step_set;  ///< touched ∪ hot, deduplicated

@@ -7,6 +7,8 @@
 // engines identical and runs thread-count invariant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -228,14 +230,105 @@ TEST(Kernels, ScatterAccumulatePartitionInvariant) {
     std::vector<std::uint32_t> active;
     for (std::size_t i = 0; i < li.in_shape.size(); i += 3)
       active.push_back(static_cast<std::uint32_t>(i));
+    std::vector<float> scratch(snn::scatter_scratch_size(li), 0.0f);
     std::vector<float> serial(li.neurons, 0.0f);
-    snn::scatter_accumulate(li, net.layer(l).weights, active, serial);
+    snn::scatter_accumulate(li, net.layer(l).weights, active, serial,
+                            scratch);
     for (const std::size_t parts : {2u, 3u, 7u}) {
       std::vector<float> split(li.neurons, 0.0f);
       for (std::size_t p = 0; p < parts; ++p)
-        snn::scatter_accumulate(li, net.layer(l).weights, active, split, p,
-                                parts);
+        snn::scatter_accumulate(li, net.layer(l).weights, active, split,
+                                scratch, p, parts);
       EXPECT_EQ(serial, split) << "layer " << l << " parts " << parts;
+    }
+  }
+}
+
+// Naive per-element conv scatter: each CHW output element gathers, from
+// +0.0 and in ascending event order, the one tap weight (if any) that
+// connects the event to it.  Independent of snn/scatter.cpp's loop
+// nest, so it catches scatter bugs that engine/reference parity cannot
+// (both run through scatter_accumulate).
+std::vector<float> naive_conv_scatter(const snn::LayerInfo& li,
+                                      const Matrix& w,
+                                      const std::vector<std::uint32_t>& active) {
+  const Shape3 in = li.in_shape;
+  const Shape3 out = li.out_shape;
+  const std::ptrdiff_t k = static_cast<std::ptrdiff_t>(li.spec.kernel);
+  const std::ptrdiff_t pad = li.spec.same_padding ? k / 2 : 0;
+  std::vector<float> current(out.size());
+  for (std::size_t oc = 0; oc < out.c; ++oc) {
+    for (std::size_t oy = 0; oy < out.h; ++oy) {
+      for (std::size_t ox = 0; ox < out.w; ++ox) {
+        float acc = 0.0f;
+        for (const std::uint32_t idx : active) {
+          const std::size_t c = idx / (in.h * in.w);
+          const auto y = static_cast<std::ptrdiff_t>(idx % (in.h * in.w) / in.w);
+          const auto x = static_cast<std::ptrdiff_t>(idx % in.w);
+          const std::ptrdiff_t ky = y + pad - static_cast<std::ptrdiff_t>(oy);
+          const std::ptrdiff_t kx = x + pad - static_cast<std::ptrdiff_t>(ox);
+          if (ky < 0 || ky >= k || kx < 0 || kx >= k) continue;
+          acc += w((c * li.spec.kernel + static_cast<std::size_t>(ky)) *
+                       li.spec.kernel +
+                       static_cast<std::size_t>(kx),
+                   oc);
+        }
+        current[(oc * out.h + oy) * out.w + ox] = acc;
+      }
+    }
+  }
+  return current;
+}
+
+std::vector<std::uint32_t> float_bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> bits(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i)
+    bits[i] = std::bit_cast<std::uint32_t>(v[i]);
+  return bits;
+}
+
+TEST(Kernels, ConvScatterMatchesNaivePerElementLoopBitForBit) {
+  // Both scatter_accumulate overloads, every partition count 1-5,
+  // against the naive gather: output-channel counts around the vector
+  // width and the 64-channel paper layer, k=1/3/5, same and valid.
+  Rng rng(16);
+  for (const std::size_t oc : {1u, 3u, 4u, 5u, 17u, 64u, 65u}) {
+    for (const std::size_t k : {1u, 3u, 5u}) {
+      for (const bool same : {true, false}) {
+        const Topology topo("conv-scatter", Shape3{3, 7, 6},
+                            {LayerSpec::conv(oc, k, same),
+                             LayerSpec::dense(2)});
+        const snn::LayerInfo& li = topo.layers()[0];
+        Matrix w(3 * k * k, oc);
+        for (float& v : w.flat()) v = static_cast<float>(rng.normal(0.0, 0.5));
+        std::vector<std::uint32_t> active;
+        for (std::size_t i = 0; i < li.in_shape.size(); ++i)
+          if (rng.uniform() < 0.4) active.push_back(static_cast<std::uint32_t>(i));
+        snn::SpikeVector packed(li.in_shape.size());
+        for (const std::uint32_t i : active) packed.set(i);
+        const auto want = float_bits(naive_conv_scatter(li, w, active));
+
+        std::vector<float> scratch(snn::scatter_scratch_size(li), 0.0f);
+        for (std::size_t parts = 1; parts <= 5; ++parts) {
+          std::vector<float> from_list(li.neurons, 0.0f);
+          std::vector<float> from_words(li.neurons, 0.0f);
+          for (std::size_t p = 0; p < parts; ++p) {
+            snn::scatter_accumulate(li, w, active, from_list, scratch, p,
+                                    parts);
+            snn::scatter_accumulate(li, w, packed, from_words, scratch, p,
+                                    parts);
+          }
+          EXPECT_EQ(float_bits(from_list), want)
+              << "oc " << oc << " k " << k << (same ? " same" : " valid")
+              << " parts " << parts;
+          EXPECT_EQ(float_bits(from_words), want)
+              << "oc " << oc << " k " << k << (same ? " same" : " valid")
+              << " parts " << parts;
+          // The scratch is handed back all-zero.
+          EXPECT_TRUE(std::all_of(scratch.begin(), scratch.end(),
+                                  [](float v) { return v == 0.0f; }));
+        }
+      }
     }
   }
 }

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace resparc::snn {
 namespace {
@@ -101,6 +105,58 @@ TEST(IfNeuron, NegativeDriveNeverFires) {
   std::vector<std::uint8_t> spikes(1);
   for (int t = 0; t < 20; ++t) EXPECT_EQ(pop.step(current, spikes), 0u);
   EXPECT_LT(pop.membrane(0), 0.0f);
+}
+
+TEST(IfNeuron, StepPackedMatchesStepBitForBit) {
+  // Every specialisation of step_packed (leak or not, subtractive or hard
+  // reset) against the byte step() over several steps: membranes bit for
+  // bit, spikes, and the fired count.  Sizes straddle the 64-neuron word.
+  const IfParams params[] = {
+      {.v_threshold = 1.0},
+      // v_reset above zero clamps the subtractive remainder v - vth.
+      {.v_threshold = 1.0, .v_reset = 0.25},
+      {.v_threshold = 0.75, .v_reset = 0.1, .subtractive_reset = false},
+      {.v_threshold = 1.0, .leak_per_step = 0.125},
+      {.v_threshold = 0.5, .v_reset = 0.2, .leak_per_step = 0.05},
+      {.v_threshold = 1.0, .v_reset = -0.5, .subtractive_reset = false,
+       .leak_per_step = 0.3},
+  };
+  Rng rng(15);
+  for (const IfParams& p : params) {
+    const float vth = static_cast<float>(p.v_threshold);
+    const float leak = static_cast<float>(p.leak_per_step);
+    for (const std::size_t n : {1u, 63u, 64u, 65u, 1000u}) {
+      IfPopulation bytes_pop(n, p);
+      IfPopulation packed_pop(n, p);
+      std::vector<float> current(n);
+      std::vector<std::uint8_t> spikes(n);
+      SpikeVector packed(n);
+      for (std::size_t i = 0; i < n; ++i) packed.set(i);  // stale bits
+      for (int t = 0; t < 8; ++t) {
+        for (float& c : current) {
+          switch (rng.below(6)) {
+            case 0: c = vth; break;          // exactly on threshold
+            case 1: c = vth + leak; break;   // on threshold after leak
+            case 2: c = leak; break;         // exactly the leak
+            case 3: c = static_cast<float>(rng.uniform(-0.8, 0.0)); break;
+            case 4: c = 0.0f; break;
+            default: c = static_cast<float>(rng.uniform(0.0, 2.5)); break;
+          }
+        }
+        const std::size_t want = bytes_pop.step(current, spikes);
+        const std::size_t got = packed_pop.step_packed(current, packed);
+        ASSERT_EQ(got, want) << "n " << n << " t " << t;
+        const SpikeVector expect = SpikeVector::from_bytes(spikes);
+        ASSERT_TRUE(std::equal(packed.words().begin(), packed.words().end(),
+                               expect.words().begin(), expect.words().end()))
+            << "n " << n << " t " << t;
+        for (std::size_t i = 0; i < n; ++i)
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(packed_pop.membrane(i)),
+                    std::bit_cast<std::uint32_t>(bytes_pop.membrane(i)))
+              << "n " << n << " t " << t << " neuron " << i;
+      }
+    }
+  }
 }
 
 }  // namespace
