@@ -83,7 +83,7 @@ struct ExecutionReport {
 
 /// Abstract accelerator: anything that can host an SNN topology and replay
 /// spike traces against it.  Implementations must keep execute() const and
-/// thread-safe so the batched pipeline can replay traces concurrently.
+/// thread-safe, so one loaded accelerator can serve concurrent callers.
 class Accelerator {
  public:
   virtual ~Accelerator() = default;
@@ -98,9 +98,11 @@ class Accelerator {
   virtual bool loaded() const = 0;
 
   /// Replays a set of traces against the loaded network; energy and
-  /// latency in the report are averaged per classification.
-  virtual ExecutionReport execute(
-      std::span<const snn::SpikeTrace> traces) const = 0;
+  /// latency in the report are averaged per classification.  Traces
+  /// replay on up to `threads` pool workers (0 = all) and reduce in
+  /// presentation order, so the report is bit-identical for any count.
+  virtual ExecutionReport execute(std::span<const snn::SpikeTrace> traces,
+                                  std::size_t threads = 1) const = 0;
 
   /// Convenience: replay a single trace.
   ExecutionReport execute(const snn::SpikeTrace& trace) const {

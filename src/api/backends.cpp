@@ -4,6 +4,8 @@
 
 #include "common/error.hpp"
 #include "compile/compiler.hpp"
+#include "core/executor.hpp"
+#include "core/neurocell.hpp"
 
 namespace resparc::api {
 
@@ -52,38 +54,63 @@ ExecutionReport to_execution_report(const cmos::CmosReport& report,
 
 // ----------------------------------------------------------------- RESPARC --
 
+struct ResparcBackend::Loaded {
+  Loaded(const snn::Topology& t, compile::CompiledProgram p,
+         noc::Fidelity fidelity)
+      : topology(t),
+        program(std::move(p)),
+        executor(topology, program.mapping, program.routes, fidelity) {}
+
+  snn::Topology topology;
+  compile::CompiledProgram program;
+  core::Executor executor;
+};
+
 ResparcBackend::ResparcBackend(core::ResparcConfig config, std::string strategy,
                                noc::Fidelity noc)
-    : chip_(std::move(config), noc), strategy_(std::move(strategy)) {
+    : config_(std::move(config)), strategy_(std::move(strategy)), noc_(noc) {
+  config_.validate();
   require(!strategy_.empty(), "ResparcBackend: empty strategy name");
 }
 
+ResparcBackend::~ResparcBackend() = default;
+
 std::string ResparcBackend::name() const {
   const std::string& s = strategy();  // the loaded program's, once loaded
-  std::string name = s == "paper" ? chip_.config().label()
-                                  : chip_.config().label() + "/" + s;
-  if (chip_.fidelity() == noc::Fidelity::kEvent) name += "@event";
+  std::string name =
+      s == "paper" ? config_.label() : config_.label() + "/" + s;
+  if (noc_ == noc::Fidelity::kEvent) name += "@event";
   return name;
 }
 
 void ResparcBackend::load(const snn::Topology& topology) {
-  chip_.load(topology,
-             compile::Compiler(chip_.config()).compile(topology, strategy_));
+  load_program(topology,
+               compile::Compiler(config_).compile(topology, strategy_));
 }
 
 void ResparcBackend::load_program(const snn::Topology& topology,
                                   compile::CompiledProgram program) {
-  chip_.load(topology, std::move(program));
+  if (program.config_fingerprint != config_.fingerprint())
+    throw compile::CompileError(
+        "ResparcBackend: program was compiled for a different configuration");
+  program.check_matches(topology);
+  loaded_ = std::make_unique<const Loaded>(topology, std::move(program), noc_);
 }
 
-ExecutionReport ResparcBackend::execute(
-    std::span<const snn::SpikeTrace> traces) const {
+const compile::CompiledProgram& ResparcBackend::program() const {
   require(loaded(), "ResparcBackend: no network loaded");
-  return to_execution_report(chip_.execute(traces), name());
+  return loaded_->program;
+}
+
+ExecutionReport ResparcBackend::execute(std::span<const snn::SpikeTrace> traces,
+                                        std::size_t threads) const {
+  require(loaded(), "ResparcBackend: no network loaded");
+  return to_execution_report(loaded_->executor.run_all(traces, threads),
+                             name());
 }
 
 AcceleratorMetrics ResparcBackend::metrics() const {
-  const core::NeuroCellMetrics m = core::neurocell_metrics(chip_.config());
+  const core::NeuroCellMetrics m = core::neurocell_metrics(config_);
   return {.area_mm2 = m.area_mm2,
           .power_mw = m.power_mw,
           .gate_count = m.gate_count,
@@ -105,10 +132,10 @@ void CmosBackend::load(const snn::Topology& topology) {
   accelerator_.emplace(*topology_, config_);
 }
 
-ExecutionReport CmosBackend::execute(
-    std::span<const snn::SpikeTrace> traces) const {
+ExecutionReport CmosBackend::execute(std::span<const snn::SpikeTrace> traces,
+                                     std::size_t threads) const {
   require(loaded(), "CmosBackend: no network loaded");
-  return to_execution_report(accelerator_->run_all(traces), name());
+  return to_execution_report(accelerator_->run_all(traces, threads), name());
 }
 
 AcceleratorMetrics CmosBackend::metrics() const {

@@ -1,20 +1,23 @@
 // Built-in Accelerator adapters over the two architecture models.
 //
-// ResparcBackend wraps core::ResparcChip (memristive crossbar fabric,
-// paper sections 3-5); CmosBackend wraps cmos::FalconAccelerator (the
+// ResparcBackend hosts the memristive crossbar fabric (paper sections
+// 3-5): it owns the compiled program and the core::Executor that replays
+// traces on it.  CmosBackend wraps cmos::FalconAccelerator (the
 // aggressively optimised digital baseline of section 4.1).  Both are
 // normally obtained through api::make_accelerator (registry.hpp); the
 // concrete types are public for callers that need architecture-specific
 // accessors such as the crossbar Mapping.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 
 #include "api/accelerator.hpp"
 #include "cmos/falcon.hpp"
 #include "compile/program.hpp"
-#include "core/resparc.hpp"
+#include "core/config.hpp"
+#include "core/mapper.hpp"
 #include "noc/route.hpp"
 
 namespace resparc::api {
@@ -25,13 +28,16 @@ namespace resparc::api {
 /// compile::CompiledProgram loads directly via load_program.
 class ResparcBackend final : public Accelerator {
  public:
-  /// Builds an unloaded backend for `config`; `strategy` picks the
-  /// compile-layer mapping policy and `noc` the Ml-NoC timing fidelity
+  /// Builds an unloaded backend for `config` (validated); `strategy` picks
+  /// the compile-layer mapping policy and `noc` the Ml-NoC timing fidelity
+  /// replays use: `analytic` reproduces the flat per-word charges
+  /// bit-for-bit, `event` adds switch-FIFO queueing and congestion stalls
   /// (docs/noc.md).
   explicit ResparcBackend(
       core::ResparcConfig config = core::default_config(),
       std::string strategy = "paper",
       noc::Fidelity noc = noc::Fidelity::kAnalytic);
+  ~ResparcBackend() override;
 
   /// Config label, e.g. "RESPARC-64"; non-default strategies append
   /// `"/<strategy>"` and event NoC fidelity appends "@event"
@@ -40,38 +46,49 @@ class ResparcBackend final : public Accelerator {
   /// Compiles `topology` with the configured strategy and hosts it.
   void load(const snn::Topology& topology) override;
   /// True once a network is loaded.
-  bool loaded() const override { return chip_.loaded(); }
-  /// Replays the traces (core::ResparcChip::execute).
-  ExecutionReport execute(
-      std::span<const snn::SpikeTrace> traces) const override;
+  bool loaded() const override { return loaded_ != nullptr; }
+  /// Replays the traces on the loaded program (core::Executor::run_all).
+  ExecutionReport execute(std::span<const snn::SpikeTrace> traces,
+                          std::size_t threads = 1) const override;
+  using Accelerator::execute;  // the single-trace convenience
   /// Fig. 8 metric roll-up of one NeuroCell at this configuration.
   AcceleratorMetrics metrics() const override;
 
   /// The configured Ml-NoC timing fidelity.
-  noc::Fidelity noc_fidelity() const { return chip_.fidelity(); }
+  noc::Fidelity noc_fidelity() const { return noc_; }
 
-  /// Hosts a compiled artifact (fingerprint-checked against this config);
-  /// strategy() and name() then reflect the program's strategy.
+  /// Hosts a compiled artifact, replacing any previous network.  Throws
+  /// compile::CompileError when the program's config fingerprint does not
+  /// match this backend or the program does not implement `topology`
+  /// (the previous network then stays loaded); strategy() and name() then
+  /// reflect the program's strategy.  The topology and program are copied.
   void load_program(const snn::Topology& topology,
                     compile::CompiledProgram program);
 
   /// The chip configuration this backend was built with.
-  const core::ResparcConfig& config() const { return chip_.config(); }
+  const core::ResparcConfig& config() const { return config_; }
   /// Strategy of the loaded program; before any load, the configured
   /// name.  "auto" reads as "auto" until a load, then as the strategy
   /// that won; the configured name itself never changes, so every
   /// load() selects again.
   const std::string& strategy() const {
-    return chip_.loaded() ? chip_.program().strategy : strategy_;
+    return loaded_ ? program().strategy : strategy_;
   }
   /// Crossbar mapping of the loaded network (throws when none is loaded).
-  const core::Mapping& mapping() const { return chip_.mapping(); }
+  const core::Mapping& mapping() const { return program().mapping; }
   /// Compiled program of the loaded network (throws when none is loaded).
-  const compile::CompiledProgram& program() const { return chip_.program(); }
+  const compile::CompiledProgram& program() const;
 
  private:
-  core::ResparcChip chip_;
+  /// The hosted network: topology, program and the executor replaying on
+  /// them.  Heap-held so the executor's references into the topology and
+  /// mapping stay valid for the backend's lifetime.
+  struct Loaded;
+
+  core::ResparcConfig config_;
   std::string strategy_;
+  noc::Fidelity noc_ = noc::Fidelity::kAnalytic;
+  std::unique_ptr<const Loaded> loaded_;
 };
 
 /// The digital CMOS baseline behind the unified interface.
@@ -86,8 +103,9 @@ class CmosBackend final : public Accelerator {
   /// True once a network is loaded.
   bool loaded() const override { return accelerator_.has_value(); }
   /// Replays the traces through the digital baseline's cycle model.
-  ExecutionReport execute(
-      std::span<const snn::SpikeTrace> traces) const override;
+  ExecutionReport execute(std::span<const snn::SpikeTrace> traces,
+                          std::size_t threads = 1) const override;
+  using Accelerator::execute;  // the single-trace convenience
   /// Fig. 9 metric roll-up of the baseline tile.
   AcceleratorMetrics metrics() const override;
 

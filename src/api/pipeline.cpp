@@ -225,100 +225,12 @@ Workload Pipeline::run() {
 
 // ------------------------------------------------------- batched execution --
 
-namespace {
-
-/// Reduces per-trace reports in presentation order, reproducing the exact
-/// accumulate-then-divide arithmetic of the legacy sequential run_all().
-ExecutionReport merge_reports(std::vector<ExecutionReport>& parts) {
-  bool all_resparc = true;
-  bool all_cmos = true;
-  for (const auto& p : parts) {
-    all_resparc = all_resparc && p.resparc.has_value();
-    all_cmos = all_cmos && p.cmos.has_value();
-  }
-
-  if (all_resparc) {
-    core::RunReport total;
-    for (const auto& p : parts) {
-      total.energy += p.resparc->energy;
-      total.events += p.resparc->events;
-      total.perf += p.resparc->perf;
-      total.noc += p.resparc->noc;
-      total.classifications += p.resparc->classifications;
-    }
-    const double n = static_cast<double>(total.classifications);
-    total.energy /= n;
-    total.perf /= n;
-    return to_execution_report(total, parts.front().backend);
-  }
-
-  if (all_cmos) {
-    cmos::CmosReport total;
-    for (const auto& p : parts) {
-      total.energy += p.cmos->energy;
-      total.events += p.cmos->events;
-      total.cycles += p.cmos->cycles;
-      total.clock_mhz = p.cmos->clock_mhz;
-      total.classifications += p.cmos->classifications;
-    }
-    const double n = static_cast<double>(total.classifications);
-    total.energy /= n;
-    total.cycles /= n;
-    return to_execution_report(total, parts.front().backend);
-  }
-
-  // Third-party backend without a native report: classification-weighted
-  // means of the unified fields.  A backend that never sets
-  // classifications falls back to equal weights instead of dividing by
-  // zero — the batched result must stay finite for any thread count.
-  ExecutionReport out;
-  out.backend = parts.front().backend;
-  double n = 0.0;
-  for (const auto& p : parts) n += static_cast<double>(p.classifications);
-  for (const auto& p : parts) {
-    const double w = n > 0.0
-                         ? static_cast<double>(p.classifications) / n
-                         : 1.0 / static_cast<double>(parts.size());
-    out.classifications += p.classifications;
-    out.energy_pj += w * p.energy_pj;
-    out.latency_ns += w * p.latency_ns;
-    for (const auto& [key, value] : p.energy_breakdown_pj) {
-      auto it = std::find_if(out.energy_breakdown_pj.begin(),
-                             out.energy_breakdown_pj.end(),
-                             [&](const auto& kv) { return kv.first == key; });
-      if (it == out.energy_breakdown_pj.end())
-        out.energy_breakdown_pj.emplace_back(key, w * value);
-      else
-        it->second += w * value;
-    }
-  }
-  out.throughput_hz = out.latency_ns > 0.0 ? 1e9 / out.latency_ns : 0.0;
-  return out;
-}
-
-}  // namespace
-
 ExecutionReport Pipeline::execute(const Accelerator& accelerator,
                                   std::span<const snn::SpikeTrace> traces,
                                   std::size_t threads) {
   require(!traces.empty(), "pipeline: no traces to execute");
   require(accelerator.loaded(), "pipeline: accelerator has no network loaded");
-  if (resolve_threads(threads, traces.size()) <= 1)
-    return accelerator.execute(traces);
-  std::vector<ExecutionReport> parts;
-  execute_each(accelerator, traces, parts, threads);
-  return merge_reports(parts);
-}
-
-void Pipeline::execute_each(const Accelerator& accelerator,
-                            std::span<const snn::SpikeTrace> traces,
-                            std::vector<ExecutionReport>& out,
-                            std::size_t threads) {
-  require(accelerator.loaded(), "pipeline: accelerator has no network loaded");
-  out.resize(traces.size());
-  parallel_for(traces.size(), threads, [&](std::size_t i) {
-    out[i] = accelerator.execute(traces[i]);
-  });
+  return accelerator.execute(traces, threads);
 }
 
 ComparisonReport Pipeline::compare(const snn::Topology& topology,

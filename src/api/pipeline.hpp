@@ -14,9 +14,9 @@
 //
 // Trace simulation is batched over presentations on a thread pool with a
 // deterministic per-presentation RNG seed, so a run is bit-identical for
-// every thread count (docs/execution.md).  Batched execute() reduces
-// per-trace native reports in presentation order, reproducing the legacy
-// sequential run_all() aggregation exactly.
+// every thread count (docs/execution.md).  Batched execute() hands the
+// thread count to the backend, whose run_all() replays each trace into its
+// own slot and reduces the slots in presentation order.
 #pragma once
 
 #include <cstdint>
@@ -132,22 +132,12 @@ class Pipeline {
   /// consumed, so run() twice yields identical workloads.
   Workload run();
 
-  /// Replays traces through a loaded accelerator, batched over
-  /// presentations; the result is bit-identical to accel.execute(traces).
+  /// Replays traces through a loaded accelerator on up to `threads` pool
+  /// workers (0 = all): accel.execute(traces, threads), bit-identical to
+  /// accel.execute(traces) for any thread count.
   static ExecutionReport execute(const Accelerator& accelerator,
                                  std::span<const snn::SpikeTrace> traces,
                                  std::size_t threads = 0);
-
-  /// Replays each trace individually into `out[i]` (resized to
-  /// traces.size()), one trace per parallel_for index when
-  /// threads != 1.  The execute-into form the serving layer batches over:
-  /// per-trace reports survive, so callers can attribute latency/energy
-  /// to individual requests instead of a merged aggregate.  out[i] is
-  /// bit-for-bit execute(traces[i]) for any thread count.
-  static void execute_each(const Accelerator& accelerator,
-                           std::span<const snn::SpikeTrace> traces,
-                           std::vector<ExecutionReport>& out,
-                           std::size_t threads = 0);
 
   /// Runs the same traces through every named backend (first = reference
   /// baseline for the ratio columns).  Backend names accept the registry's

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "tech/sram.hpp"
 
 namespace resparc::cmos {
@@ -178,12 +180,14 @@ CmosReport FalconAccelerator::run(const snn::SpikeTrace& trace) const {
   return report;
 }
 
-CmosReport FalconAccelerator::run_all(
-    std::span<const snn::SpikeTrace> traces) const {
+CmosReport FalconAccelerator::run_all(std::span<const snn::SpikeTrace> traces,
+                                      std::size_t threads) const {
   require(!traces.empty(), "baseline: no traces");
+  std::vector<CmosReport> parts(traces.size());
+  parallel_for(traces.size(), threads,
+               [&](std::size_t i) { parts[i] = run(traces[i]); });
   CmosReport total;
-  for (const auto& trace : traces) {
-    const CmosReport r = run(trace);
+  for (const CmosReport& r : parts) {
     total.energy += r.energy;
     total.events += r.events;
     total.cycles += r.cycles;

@@ -126,8 +126,11 @@ class FalconAccelerator {
   /// Replays one presentation trace.
   CmosReport run(const snn::SpikeTrace& trace) const;
 
-  /// Replays many; energy/cycles averaged per classification.
-  CmosReport run_all(std::span<const snn::SpikeTrace> traces) const;
+  /// Replays many; energy/cycles averaged per classification.  Traces
+  /// replay into per-trace slots on up to `threads` pool workers (0 = all)
+  /// and reduce in presentation order: bit-identical for any thread count.
+  CmosReport run_all(std::span<const snn::SpikeTrace> traces,
+                     std::size_t threads = 1) const;
 
  private:
   const snn::Topology& topology_;

@@ -17,11 +17,11 @@
 //             (docs/verification.md)
 //
 // and emits a CompiledProgram — a serializable artifact that
-// ResparcChip/api::ResparcBackend load directly:
+// api::ResparcBackend loads directly:
 //
 //   compile::Compiler compiler(config);
 //   auto program = compiler.compile(topology, "greedy-pack");
-//   chip.load(topology, program);
+//   backend.load_program(topology, program);
 //
 // compile(topology, "auto") compiles with each of the four strategies and
 // keeps the lowest energy-delay product.  A strategy object with its own

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/executor.hpp"
+#include "noc/fabric.hpp"
 #include "tech/memristor.hpp"
 #include "tech/sram.hpp"
 
 namespace resparc::compile {
 
-using core::kBusCyclesPerWord;
 using core::LayerMapping;
 using core::Mapping;
 using core::McaGroup;
@@ -69,7 +68,7 @@ CostEstimate estimate_cost(const snn::Topology& topology,
     const double sent = expected_sent_words(words, activity, cfg.event_driven);
     energy_pj += sent * (sram.read_energy_pj() + sram.write_energy_pj() +
                          d.bus_word_pj);
-    stage_max = std::max(stage_max, kBusCyclesPerWord * sent);
+    stage_max = std::max(stage_max, noc::kBusCyclesPerWord * sent);
     ++bus_boundaries;
   }
 
@@ -128,7 +127,7 @@ CostEstimate estimate_cost(const snn::Topology& topology,
 
     const double compute_c = static_cast<double>(lm.mux_cycles) + 1.0;
     const double transfer_c =
-        via_bus ? kBusCyclesPerWord * sent
+        via_bus ? noc::kBusCyclesPerWord * sent
                 : std::ceil(sent / static_cast<double>(cfg.nc_dim));
     stage_max = std::max(stage_max, std::max(compute_c, transfer_c));
   }

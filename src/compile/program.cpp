@@ -345,7 +345,7 @@ void CompiledProgram::check_matches(const snn::Topology& topology) const {
                          std::to_string(mapping.layers[l].synapses) + " vs " +
                          std::to_string(topology.layers()[l].synapses));
   }
-  if (!routes.empty() && routes.size() != topology.layer_count() + 1)
+  if (routes.size() != topology.layer_count() + 1)
     throw CompileError("program carries " + std::to_string(routes.size()) +
                        " routes but topology \"" + topology.name() +
                        "\" has " + std::to_string(topology.layer_count() + 1) +

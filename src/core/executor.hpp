@@ -19,8 +19,10 @@
 // in docs/execution.md.
 #pragma once
 
+#include <cstddef>
+#include <span>
+
 #include "core/energy.hpp"
-#include "core/events.hpp"
 #include "core/mapper.hpp"
 #include "noc/fabric.hpp"
 #include "noc/route.hpp"
@@ -28,10 +30,6 @@
 #include "snn/trace.hpp"
 
 namespace resparc::core {
-
-/// Cycles to move one word across the global bus (the NoC layer owns the
-/// constant; this alias keeps the historical core:: spelling working).
-inline constexpr double kBusCyclesPerWord = noc::kBusCyclesPerWord;
 
 /// Executes spike traces against a fixed mapping.
 class Executor {
@@ -51,21 +49,13 @@ class Executor {
   /// record_trace=true) and returns the per-classification report.
   RunReport run(const snn::SpikeTrace& trace) const;
 
-  /// Same replay, additionally filling `stream` (when non-null) with the
-  /// per-timestep, per-stage event record the counters are summed from —
-  /// the actual spike-driven event streams rather than their totals
-  /// (docs/execution.md).  The returned report is bit-for-bit identical
-  /// to run(trace).
-  RunReport run(const snn::SpikeTrace& trace, EventStream* stream) const;
-
   /// Replays many presentations; energy/perf are averaged per
-  /// classification, events and NoC counters are summed.
-  RunReport run_all(std::span<const snn::SpikeTrace> traces) const;
-
-  /// run_all with each presentation's event stream merged into `stream`
-  /// (when non-null); the report is bit-for-bit identical to run_all.
+  /// classification, events and NoC counters are summed.  Each trace
+  /// replays into its own slot on up to `threads` pool workers (0 = all,
+  /// common/thread_pool.hpp) and the slots are reduced in presentation
+  /// order, so the report is bit-for-bit the same for every thread count.
   RunReport run_all(std::span<const snn::SpikeTrace> traces,
-                    EventStream* stream) const;
+                    std::size_t threads = 1) const;
 
   const Mapping& mapping() const { return mapping_; }
 

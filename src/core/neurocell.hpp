@@ -5,7 +5,8 @@
 // moves spikes through MCAs, CCU current chains and switches, so small
 // networks can be verified end-to-end against the functional simulator
 // (see tests/test_neurocell.cpp).  Paper-scale networks use the analytic
-// path, which this class validates.
+// path, which this class validates.  Also home of the Fig. 8
+// implementation-metric roll-up of one NeuroCell.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +29,20 @@ struct NeuroCellCounters {
   std::size_t neuron_fires = 0;
   std::size_t ccu_transfers = 0;
 };
+
+/// Implementation metrics of one NeuroCell (paper Fig. 8).
+struct NeuroCellMetrics {
+  double area_mm2 = 0.0;
+  double power_mw = 0.0;      ///< peak dynamic power at full activity
+  double gate_count = 0.0;
+  double frequency_mhz = 0.0;
+  std::size_t mpe_count = 0;
+  std::size_t switch_count = 0;
+  std::size_t mcas_per_mpe = 0;
+};
+
+/// Computes the Fig. 8 metric roll-up for a configuration.
+NeuroCellMetrics neurocell_metrics(const ResparcConfig& config);
 
 /// One NeuroCell executing a dense SNN mapped within its capacity.
 class NeuroCell {

@@ -1,7 +1,8 @@
 #include "core/techaware.hpp"
 
 #include "common/error.hpp"
-#include "core/resparc.hpp"
+#include "compile/compiler.hpp"
+#include "core/executor.hpp"
 #include "tech/crossbar_model.hpp"
 
 namespace resparc::core {
@@ -34,9 +35,12 @@ TechAwareResult explore_mca_sizes(const snn::Topology& topology,
   for (std::size_t n : sizes) {
     ResparcConfig cfg = base;
     cfg.mca_size = n;
-    ResparcChip chip(cfg);
-    const Mapping& mapping = chip.load(topology);
-    const RunReport report = chip.execute(traces);
+    const compile::CompiledProgram program =
+        compile::Compiler(cfg).compile(topology, "paper");
+    const Mapping& mapping = program.mapping;
+    const RunReport report =
+        Executor(topology, mapping, program.routes, noc::Fidelity::kAnalytic)
+            .run_all(traces);
     SizeCandidate c;
     c.mca_size = n;
     c.energy_pj = report.energy.total_pj();

@@ -7,7 +7,9 @@
 #include "api/pipeline.hpp"
 #include "api/registry.hpp"
 #include "cmos/falcon.hpp"
-#include "core/resparc.hpp"
+#include "compile/compiler.hpp"
+#include "core/executor.hpp"
+#include "core/neurocell.hpp"
 #include "snn/benchmarks.hpp"
 
 namespace resparc::api {
@@ -137,9 +139,12 @@ TEST(Registry, OptionsReachTheBackend) {
 TEST_F(ApiWorkload, ResparcBackendMatchesLegacyChipExactly) {
   const Workload& w = *workload_;
 
-  core::ResparcChip chip(core::default_config());
-  chip.load(w.topology());
-  const core::RunReport legacy = chip.execute(w.traces);
+  const compile::CompiledProgram program =
+      compile::Compiler(core::default_config()).compile(w.topology(), "paper");
+  const core::RunReport legacy =
+      core::Executor(w.topology(), program.mapping, program.routes,
+                     noc::Fidelity::kAnalytic)
+          .run_all(w.traces);
 
   const auto accel = make_accelerator("resparc");
   accel->load(w.topology());
@@ -197,13 +202,80 @@ TEST_F(ApiWorkload, ExecuteRequiresLoadedNetwork) {
 
 // -------------------------------------------------------- batched execution --
 
+void expect_levels_equal(const noc::LevelStats& a, const noc::LevelStats& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.words, b.words) << what;
+  EXPECT_EQ(a.hops, b.hops) << what;
+  EXPECT_EQ(a.drops, b.drops) << what;
+  EXPECT_EQ(a.stall_cycles, b.stall_cycles) << what;
+  EXPECT_EQ(a.busy_cycles, b.busy_cycles) << what;
+  EXPECT_EQ(a.queue_peak, b.queue_peak) << what;
+}
+
+/// Every native field of two RESPARC reports, fault manifest included.
+void expect_resparc_equal(const core::RunReport& a, const core::RunReport& b,
+                          const std::string& name) {
+  EXPECT_EQ(a.energy.neuron_pj, b.energy.neuron_pj) << name;
+  EXPECT_EQ(a.energy.crossbar_pj, b.energy.crossbar_pj) << name;
+  EXPECT_EQ(a.energy.buffer_pj, b.energy.buffer_pj) << name;
+  EXPECT_EQ(a.energy.control_pj, b.energy.control_pj) << name;
+  EXPECT_EQ(a.energy.comm_pj, b.energy.comm_pj) << name;
+  EXPECT_EQ(a.energy.leakage_pj, b.energy.leakage_pj) << name;
+  EXPECT_EQ(a.perf.cycles_pipelined, b.perf.cycles_pipelined) << name;
+  EXPECT_EQ(a.perf.cycles_serial, b.perf.cycles_serial) << name;
+  EXPECT_EQ(a.perf.cycles_compute, b.perf.cycles_compute) << name;
+  EXPECT_EQ(a.perf.cycles_transport, b.perf.cycles_transport) << name;
+  EXPECT_EQ(a.perf.cycles_stall, b.perf.cycles_stall) << name;
+  EXPECT_EQ(a.perf.clock_mhz, b.perf.clock_mhz) << name;
+  EXPECT_EQ(a.events.mca_activations, b.events.mca_activations) << name;
+  EXPECT_EQ(a.events.mca_skips, b.events.mca_skips) << name;
+  EXPECT_EQ(a.events.neuron_integrations, b.events.neuron_integrations)
+      << name;
+  EXPECT_EQ(a.events.neuron_fires, b.events.neuron_fires) << name;
+  EXPECT_EQ(a.events.buffer_bits, b.events.buffer_bits) << name;
+  EXPECT_EQ(a.events.switch_flits, b.events.switch_flits) << name;
+  EXPECT_EQ(a.events.switch_skips, b.events.switch_skips) << name;
+  EXPECT_EQ(a.events.bus_words, b.events.bus_words) << name;
+  EXPECT_EQ(a.events.bus_skips, b.events.bus_skips) << name;
+  EXPECT_EQ(a.events.ccu_transfers, b.events.ccu_transfers) << name;
+  EXPECT_EQ(a.events.sram_reads, b.events.sram_reads) << name;
+  EXPECT_EQ(a.events.sram_writes, b.events.sram_writes) << name;
+  expect_levels_equal(a.noc.mesh, b.noc.mesh, name + " mesh");
+  expect_levels_equal(a.noc.tree, b.noc.tree, name + " tree");
+  expect_levels_equal(a.noc.bus, b.noc.bus, name + " bus");
+  EXPECT_EQ(a.classifications, b.classifications) << name;
+  ASSERT_EQ(a.faults.has_value(), b.faults.has_value()) << name;
+  if (a.faults) {
+    EXPECT_EQ(a.faults->chip_seed, b.faults->chip_seed) << name;
+    EXPECT_EQ(a.faults->mcas, b.faults->mcas) << name;
+    EXPECT_EQ(a.faults->cells, b.faults->cells) << name;
+    EXPECT_EQ(a.faults->stuck_off_cells, b.faults->stuck_off_cells) << name;
+    EXPECT_EQ(a.faults->stuck_on_cells, b.faults->stuck_on_cells) << name;
+    EXPECT_EQ(a.faults->failed_mcas, b.faults->failed_mcas) << name;
+    EXPECT_EQ(a.faults->failed_mpes, b.faults->failed_mpes) << name;
+    EXPECT_EQ(a.faults->max_stuck_density, b.faults->max_stuck_density)
+        << name;
+  }
+}
+
 TEST_F(ApiWorkload, BatchedExecuteMatchesSequentialBitForBit) {
   const Workload& w = *workload_;
-  for (const char* name : {"resparc", "cmos"}) {
-    const auto accel = make_accelerator(name);
+  // A faulted chip too: the batched report must carry the chip's fault
+  // manifest exactly as the sequential one does.
+  BackendOptions faulted;
+  faulted.resparc.faults.enabled = true;
+  faulted.resparc.faults.stuck_off_rate = 0.01;
+  const struct {
+    const char* key;
+    BackendOptions options;
+  } cases[] = {{"resparc", {}}, {"cmos", {}}, {"resparc", faulted}};
+  for (const auto& c : cases) {
+    const auto accel = make_accelerator(c.key, c.options);
     accel->load(w.topology());
     const ExecutionReport sequential = accel->execute(w.traces);
     const ExecutionReport batched = Pipeline::execute(*accel, w.traces, 3);
+    const std::string name =
+        accel->name() + (c.options.resparc.faults.enabled ? " faulted" : "");
     EXPECT_EQ(batched.energy_pj, sequential.energy_pj) << name;
     EXPECT_EQ(batched.latency_ns, sequential.latency_ns) << name;
     EXPECT_EQ(batched.classifications, sequential.classifications) << name;
@@ -215,6 +287,29 @@ TEST_F(ApiWorkload, BatchedExecuteMatchesSequentialBitForBit) {
       EXPECT_EQ(batched.energy_breakdown_pj[i].second,
                 sequential.energy_breakdown_pj[i].second)
           << name << " bucket " << batched.energy_breakdown_pj[i].first;
+    }
+    // The faulted chip must really be faulted, or the manifest checks
+    // compare two absent manifests.
+    if (c.options.resparc.faults.enabled) {
+      ASSERT_TRUE(sequential.faults.has_value()) << name;
+      EXPECT_GT(sequential.faults->stuck_off_cells, 0u) << name;
+    }
+    ASSERT_EQ(batched.faults.has_value(), sequential.faults.has_value())
+        << name;
+    ASSERT_EQ(batched.resparc.has_value(), sequential.resparc.has_value());
+    if (sequential.resparc)
+      expect_resparc_equal(*batched.resparc, *sequential.resparc, name);
+    ASSERT_EQ(batched.cmos.has_value(), sequential.cmos.has_value());
+    if (sequential.cmos) {
+      EXPECT_EQ(batched.cmos->energy.core_pj, sequential.cmos->energy.core_pj);
+      EXPECT_EQ(batched.cmos->energy.memory_access_pj,
+                sequential.cmos->energy.memory_access_pj);
+      EXPECT_EQ(batched.cmos->energy.memory_leakage_pj,
+                sequential.cmos->energy.memory_leakage_pj);
+      EXPECT_EQ(batched.cmos->cycles, sequential.cmos->cycles);
+      EXPECT_EQ(batched.cmos->events.synops, sequential.cmos->events.synops);
+      EXPECT_EQ(batched.cmos->events.weight_words,
+                sequential.cmos->events.weight_words);
     }
   }
 }

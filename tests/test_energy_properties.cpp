@@ -5,9 +5,9 @@
 
 #include <vector>
 
+#include "api/backends.hpp"
 #include "cmos/falcon.hpp"
 #include "common/rng.hpp"
-#include "core/resparc.hpp"
 #include "snn/simulator.hpp"
 
 namespace resparc::core {
@@ -46,21 +46,21 @@ class McaSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(McaSweep, PipelinedNeverSlowerThanSerial) {
   const auto traces = traces_at(0.1, 1, mlp_topo());
-  ResparcChip chip(config_with_mca(GetParam()));
+  api::ResparcBackend chip(config_with_mca(GetParam()));
   chip.load(mlp_topo());
-  const RunReport r = chip.execute(traces);
+  const RunReport r = *chip.execute(traces).resparc;
   EXPECT_LE(r.perf.cycles_pipelined, r.perf.cycles_serial);
   EXPECT_GT(r.perf.throughput_hz(), 0.0);
 }
 
 TEST_P(McaSweep, EnergyRisesWithActivity) {
   const Topology topo = mlp_topo();
-  ResparcChip chip(config_with_mca(GetParam()));
+  api::ResparcBackend chip(config_with_mca(GetParam()));
   chip.load(topo);
   const double low =
-      chip.execute(traces_at(0.05, 2, topo)).energy.total_pj();
+      chip.execute(traces_at(0.05, 2, topo)).resparc->energy.total_pj();
   const double high =
-      chip.execute(traces_at(0.25, 2, topo)).energy.total_pj();
+      chip.execute(traces_at(0.25, 2, topo)).resparc->energy.total_pj();
   EXPECT_GT(high, low);
 }
 
@@ -69,11 +69,11 @@ TEST_P(McaSweep, EventDrivenOnlySubtracts) {
   ResparcConfig on = config_with_mca(GetParam());
   ResparcConfig off = on;
   off.event_driven = false;
-  ResparcChip chip_on(on), chip_off(off);
+  api::ResparcBackend chip_on(on), chip_off(off);
   chip_on.load(mlp_topo());
   chip_off.load(mlp_topo());
-  const RunReport r_on = chip_on.execute(traces);
-  const RunReport r_off = chip_off.execute(traces);
+  const RunReport r_on = *chip_on.execute(traces).resparc;
+  const RunReport r_off = *chip_off.execute(traces).resparc;
   EXPECT_LE(r_on.energy.total_pj(), r_off.energy.total_pj());
   // Functional events (fires, integrations of active groups) are counts
   // of real work; the zero-check must never *create* events.
@@ -87,9 +87,9 @@ TEST_P(McaSweep, CrossbarEnergyIndependentOfDeviceBits) {
   for (int bits : {1, 4, 8}) {
     ResparcConfig cfg = config_with_mca(GetParam());
     cfg.technology.memristor.bits = bits;
-    ResparcChip chip(cfg);
+    api::ResparcBackend chip(cfg);
     chip.load(mlp_topo());
-    const double e = chip.execute(traces).energy.crossbar_pj;
+    const double e = chip.execute(traces).resparc->energy.crossbar_pj;
     if (first < 0.0)
       first = e;
     else
@@ -109,11 +109,12 @@ TEST(EnergyProperties, LeakageScalesWithDeployedColumns) {
                        {LayerSpec::dense(512), LayerSpec::dense(10)});
   const auto traces_small = traces_at(0.1, 5, small_t);
   const auto traces_big = traces_at(0.1, 5, big_t);
-  ResparcChip chip_small(default_config()), chip_big(default_config());
+  api::ResparcBackend chip_small(default_config());
+  api::ResparcBackend chip_big(default_config());
   chip_small.load(small_t);
   chip_big.load(big_t);
-  const RunReport rs = chip_small.execute(traces_small);
-  const RunReport rb = chip_big.execute(traces_big);
+  const RunReport rs = *chip_small.execute(traces_small).resparc;
+  const RunReport rb = *chip_big.execute(traces_big).resparc;
   const double leak_rate_small =
       rs.energy.leakage_pj / rs.perf.latency_pipelined_ns();
   const double leak_rate_big =
@@ -138,10 +139,10 @@ TEST(EnergyProperties, CmosCyclesScaleInverselyWithNuWidth) {
 TEST(EnergyProperties, SameTracesSameReportDeterminism) {
   const Topology topo = mlp_topo();
   const auto traces = traces_at(0.1, 7, topo);
-  ResparcChip chip(default_config());
+  api::ResparcBackend chip(default_config());
   chip.load(topo);
-  const RunReport a = chip.execute(traces);
-  const RunReport b = chip.execute(traces);
+  const RunReport a = *chip.execute(traces).resparc;
+  const RunReport b = *chip.execute(traces).resparc;
   EXPECT_DOUBLE_EQ(a.energy.total_pj(), b.energy.total_pj());
   EXPECT_DOUBLE_EQ(a.perf.cycles_pipelined, b.perf.cycles_pipelined);
   EXPECT_EQ(a.events.mca_activations, b.events.mca_activations);

@@ -8,13 +8,13 @@
 #include <cmath>
 #include <sstream>
 
+#include "api/backends.hpp"
 #include "api/pipeline.hpp"
 #include "api/registry.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "compile/compiler.hpp"
 #include "core/executor.hpp"
-#include "core/resparc.hpp"
 #include "noc/fabric.hpp"
 #include "noc/route.hpp"
 #include "snn/benchmarks.hpp"
@@ -123,7 +123,7 @@ RunReport reference_flat_run(const Topology& topology, const Mapping& mapping,
       ev.bus_words += sent;
       if (cfg.event_driven) ev.bus_skips += total - nz;
       const double stage =
-          core::kBusCyclesPerWord * static_cast<double>(sent);
+          noc::kBusCyclesPerWord * static_cast<double>(sent);
       stage_max = std::max(stage_max, stage);
       cycles_serial += stage;
     }
@@ -198,7 +198,7 @@ RunReport reference_flat_run(const Topology& topology, const Mapping& mapping,
               ? static_cast<double>(lm.mux_cycles) + 1.0
               : 0.0;
       const double transfer_c =
-          via_bus ? core::kBusCyclesPerWord * static_cast<double>(sent)
+          via_bus ? noc::kBusCyclesPerWord * static_cast<double>(sent)
                   : std::ceil(static_cast<double>(sent) /
                               static_cast<double>(cfg.nc_dim));
       const double stage = std::max(compute_c, transfer_c);
@@ -338,7 +338,7 @@ TEST(NocFabric, AnalyticTransferMatchesFlatCharges) {
   bus.tree_hops = 4;
   bus.lca_height = 2;
   const noc::Transport tb = noc::analytic_transfer(bus, 10, 3, cfg, stats);
-  EXPECT_EQ(tb.cycles, core::kBusCyclesPerWord * 10.0);
+  EXPECT_EQ(tb.cycles, noc::kBusCyclesPerWord * 10.0);
   EXPECT_EQ(tb.stall_cycles, 0.0);
   EXPECT_EQ(stats.bus.words, 10u);
   EXPECT_EQ(stats.bus.drops, 3u);
@@ -615,10 +615,11 @@ TEST(NocApi, BatchedExecuteSumsNocCountersLikeSequential) {
 
 TEST(NocChip, EventFidelityChipReportsStallsAndNocCounters) {
   Fixture fx(512, 256);
-  core::ResparcChip chip(core::default_config(), noc::Fidelity::kEvent);
+  api::ResparcBackend chip(core::default_config(), "paper",
+                          noc::Fidelity::kEvent);
   chip.load(fx.topo);
-  const RunReport r = chip.execute(fx.traces);
-  EXPECT_EQ(chip.fidelity(), noc::Fidelity::kEvent);
+  const RunReport r = *chip.execute(fx.traces).resparc;
+  EXPECT_EQ(chip.noc_fidelity(), noc::Fidelity::kEvent);
   EXPECT_GT(r.noc.total_hops(), 0u);
   EXPECT_GE(r.perf.cycles_stall, 0.0);
 }

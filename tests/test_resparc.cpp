@@ -1,9 +1,10 @@
-// Unit tests for the ResparcChip facade and Fig. 8 metrics (core/resparc.hpp).
-#include "core/resparc.hpp"
-
+// Unit tests for the ResparcBackend load/execute contract (api/backends.hpp)
+// and the Fig. 8 NeuroCell metrics (core/neurocell.hpp).
 #include <gtest/gtest.h>
 
+#include "api/backends.hpp"
 #include "common/error.hpp"
+#include "core/neurocell.hpp"
 #include "common/rng.hpp"
 #include "snn/simulator.hpp"
 
@@ -30,32 +31,33 @@ snn::SpikeTrace make_trace(const Topology& topo) {
   return sim.run(images[0], rng).trace;
 }
 
-TEST(ResparcChip, LoadThenExecute) {
-  ResparcChip chip(default_config());
-  EXPECT_FALSE(chip.loaded());
+TEST(ResparcBackend, LoadThenExecute) {
+  api::ResparcBackend backend(default_config());
+  EXPECT_FALSE(backend.loaded());
   const Topology topo = small_topo();
-  const Mapping& m = chip.load(topo);
-  EXPECT_TRUE(chip.loaded());
-  EXPECT_GT(m.total_mcas, 0u);
-  const RunReport r = chip.execute(make_trace(topo));
-  EXPECT_GT(r.energy.total_pj(), 0.0);
+  backend.load(topo);
+  EXPECT_TRUE(backend.loaded());
+  EXPECT_GT(backend.mapping().total_mcas, 0u);
+  const api::ExecutionReport r = backend.execute(make_trace(topo));
+  ASSERT_TRUE(r.resparc.has_value());
+  EXPECT_GT(r.resparc->energy.total_pj(), 0.0);
 }
 
-TEST(ResparcChip, ExecuteWithoutLoadThrows) {
-  ResparcChip chip(default_config());
+TEST(ResparcBackend, ExecuteWithoutLoadThrows) {
+  api::ResparcBackend backend(default_config());
   snn::SpikeTrace t;
-  EXPECT_THROW(chip.execute(t), ConfigError);
-  EXPECT_THROW(chip.mapping(), ConfigError);
+  EXPECT_THROW(backend.execute(t), ConfigError);
+  EXPECT_THROW(backend.mapping(), ConfigError);
 }
 
-TEST(ResparcChip, ReloadReplacesNetwork) {
-  ResparcChip chip(default_config());
-  chip.load(small_topo());
-  const std::size_t mcas1 = chip.mapping().total_mcas;
+TEST(ResparcBackend, ReloadReplacesNetwork) {
+  api::ResparcBackend backend(default_config());
+  backend.load(small_topo());
+  const std::size_t mcas1 = backend.mapping().total_mcas;
   const Topology bigger("b", Shape3{1, 1, 256},
                         {LayerSpec::dense(256), LayerSpec::dense(10)});
-  chip.load(bigger);
-  EXPECT_GT(chip.mapping().total_mcas, mcas1);
+  backend.load(bigger);
+  EXPECT_GT(backend.mapping().total_mcas, mcas1);
 }
 
 TEST(Fig8Metrics, MatchesPaperStructure) {

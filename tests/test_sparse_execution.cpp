@@ -3,9 +3,6 @@
 // feeds:
 //   * engine-vs-reference bit-for-bit parity across every bundled
 //     topology shape (MLP and CNN, leaky and paper-scale);
-//   * the per-timestep EventStream of ResparcChip::execute(traces,
-//     &stream) reproducing the aggregated counters, with and without
-//     executor event_driven;
 //   * ActivityTrace accumulation and round-trip serialization;
 //   * the all-zero-input regression: under the event-driven executor an
 //     empty trace must be (almost) free — every array skipped, nothing
@@ -14,8 +11,8 @@
 
 #include <sstream>
 
+#include "api/backends.hpp"
 #include "api/pipeline.hpp"
-#include "core/resparc.hpp"
 #include "snn/activity.hpp"
 #include "snn/benchmarks.hpp"
 #include "snn/simulator.hpp"
@@ -89,42 +86,6 @@ TEST_P(SparseParity, TracesAreBitForBitIdentical) {
   const Workload w =
       run_workload(GetParam().topology, snn::DatasetKind::kMnistLike);
   expect_matches_reference(w, 8);
-}
-
-TEST_P(SparseParity, ExecutorReportsMatchInBothEventDrivenModes) {
-  const snn::Topology& topo = GetParam().topology;
-  const Workload w = run_workload(topo, snn::DatasetKind::kMnistLike);
-
-  for (const bool event_driven : {true, false}) {
-    core::ResparcConfig config = core::config_with_mca(64);
-    config.event_driven = event_driven;
-    core::ResparcChip chip(config);
-    chip.load(topo);
-    const core::RunReport plain = chip.execute(w.traces);
-    core::EventStream stream;
-    const core::RunReport r = chip.execute(w.traces, &stream);
-
-    // Recording adds timestep resolution, never different totals.
-    EXPECT_EQ(plain.energy.total_pj(), r.energy.total_pj())
-        << "event_driven=" << event_driven;
-    EXPECT_EQ(plain.perf.cycles_pipelined, r.perf.cycles_pipelined);
-    EXPECT_EQ(plain.events.mca_activations, r.events.mca_activations);
-    EXPECT_EQ(plain.events.mca_skips, r.events.mca_skips);
-    EXPECT_EQ(plain.events.bus_words, r.events.bus_words);
-    EXPECT_EQ(plain.events.neuron_fires, r.events.neuron_fires);
-
-    // The stream is the same record at timestep resolution: its totals
-    // must reproduce the aggregated counters exactly.
-    ASSERT_FALSE(stream.empty());
-    const core::StepEvents total = stream.total();
-    EXPECT_EQ(total.mca_reads, r.events.mca_activations);
-    EXPECT_EQ(total.mca_skips, r.events.mca_skips);
-    EXPECT_EQ(total.words_sent, r.events.bus_words + r.events.switch_flits);
-    std::size_t layer_fires = 0;
-    for (std::size_t s = 1; s < stream.stages(); ++s)
-      layer_fires += stream.stage_total(s).neuron_fires;
-    EXPECT_EQ(layer_fires, r.events.neuron_fires);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -235,10 +196,9 @@ TEST(ZeroInputRegression, EmptyTraceIsAlmostFree) {
   for (std::size_t l = 0; l < topo.layer_count(); ++l)
     empty.layers[l + 1].assign(T, snn::SpikeVector(topo.layers()[l].neurons));
 
-  core::ResparcChip chip(core::config_with_mca(64));
+  api::ResparcBackend chip(core::config_with_mca(64));
   chip.load(topo);
-  core::EventStream stream;
-  const core::RunReport r = chip.execute({&empty, 1}, &stream);
+  const core::RunReport r = *chip.execute(empty).resparc;
   const core::EventCounts& ev = r.events;
 
   EXPECT_EQ(ev.mca_activations, 0u);
@@ -255,7 +215,8 @@ TEST(ZeroInputRegression, EmptyTraceIsAlmostFree) {
   EXPECT_EQ(ev.mca_skips, chip.mapping().total_mcas * T);
 
   // No stage ever advances: zero cycles, zero latency, zero leakage
-  // window — and the recorded event stream is idle in every cell.
+  // window.  With every counter above at 0, no (timestep, stage) of the
+  // replay saw an event.
   EXPECT_DOUBLE_EQ(r.perf.cycles_pipelined, 0.0);
   EXPECT_DOUBLE_EQ(r.perf.latency_pipelined_ns(), 0.0);
   EXPECT_DOUBLE_EQ(r.energy.crossbar_pj, 0.0);
@@ -263,10 +224,6 @@ TEST(ZeroInputRegression, EmptyTraceIsAlmostFree) {
   EXPECT_DOUBLE_EQ(r.energy.buffer_pj, 0.0);
   EXPECT_DOUBLE_EQ(r.energy.comm_pj, 0.0);
   EXPECT_DOUBLE_EQ(r.energy.leakage_pj, 0.0);
-  ASSERT_EQ(stream.timesteps(), T);
-  for (std::size_t t = 0; t < stream.timesteps(); ++t)
-    for (std::size_t s = 0; s < stream.stages(); ++s)
-      EXPECT_TRUE(stream.at(t, s).idle()) << "t=" << t << " stage=" << s;
 }
 
 }  // namespace
