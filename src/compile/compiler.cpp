@@ -32,8 +32,7 @@ void legalize_pass(const snn::Topology& topology,
 
 }  // namespace
 
-Compiler::Compiler(core::ResparcConfig config, CompileOptions options)
-    : config_(std::move(config)), options_(options) {
+Compiler::Compiler(core::ResparcConfig config) : config_(std::move(config)) {
   config_.validate();
 }
 
@@ -65,8 +64,7 @@ CompiledProgram Compiler::compile(const snn::Topology& topology,
   program.routes = noc::compute_routes(program.mapping);
 
   // -- cost-estimate ---------------------------------------------------------
-  program.cost = estimate_cost(topology, program.mapping, program.routes,
-                               options_.activity);
+  program.cost = estimate_cost(topology, program.mapping, program.routes);
   program.report = utilization_report(topology, program.mapping);
 
   // -- verify ----------------------------------------------------------------
@@ -84,11 +82,7 @@ CompiledProgram Compiler::compile(const snn::Topology& topology,
 
 CompiledProgram Compiler::compile(const snn::Topology& topology,
                                   const std::string& strategy) const {
-  if (strategy == "auto") return compile_best(topology);
-  return compile(topology, *make_strategy(strategy));
-}
-
-CompiledProgram Compiler::compile_best(const snn::Topology& topology) const {
+  if (strategy != "auto") return compile(topology, *make_strategy(strategy));
   CompiledProgram best;
   double best_score = std::numeric_limits<double>::infinity();
   for (const std::string& name : strategy_names()) {

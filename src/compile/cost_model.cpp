@@ -31,21 +31,12 @@ double expected_sent_words(std::size_t words, double activity,
 
 CostEstimate estimate_cost(const snn::Topology& topology,
                            const core::Mapping& mapping,
-                           double activity) {
-  return estimate_cost(topology, mapping, noc::compute_routes(mapping),
-                       activity);
-}
-
-CostEstimate estimate_cost(const snn::Topology& topology,
-                           const core::Mapping& mapping,
-                           const noc::RouteTable& routes,
-                           double activity) {
+                           const noc::RouteTable& routes) {
   require(topology.layer_count() == mapping.layers.size(),
           "estimate_cost: mapping does not match topology");
   require(routes.size() == topology.layer_count() + 1,
           "estimate_cost: route table does not cover every boundary");
-  require(activity > 0.0 && activity <= 1.0,
-          "estimate_cost: activity must be in (0,1]");
+  const double activity = kAssumedActivity;
 
   const core::ResparcConfig& cfg = mapping.config;
   const tech::Technology& t = cfg.technology;

@@ -7,7 +7,9 @@
 // energies come from the same technology tables (tech::DigitalCosts,
 // tech::Memristor, tech::SramModel) the executor charges, so the estimate
 // tracks the measured numbers to first order — it is a *ranking* signal,
-// not a substitute for trace-driven execution.
+// not a substitute for trace-driven execution.  It is the only analytic
+// model: the compiler's cost pass, the search strategies' exploration
+// score and the verifier's re-derivation all call estimate_cost.
 #pragma once
 
 #include "compile/program.hpp"
@@ -17,20 +19,17 @@
 
 namespace resparc::compile {
 
-/// Estimates per-timestep energy and pipelined cycles of `mapping` at a
-/// uniform spike `activity` (fraction of neurons spiking each step),
-/// charging each boundary transfer along its Ml-NoC route — the same
-/// table the executor replays on, so the ranking cannot drift from the
-/// measured transport model.
-CostEstimate estimate_cost(const snn::Topology& topology,
-                           const core::Mapping& mapping,
-                           const noc::RouteTable& routes,
-                           double activity = 0.10);
+/// Spikes/neuron/step the cost model assumes, recorded in every
+/// program's CostEstimate::activity (the verifier requires exactly this
+/// value) and drawn by the search strategies' calibration trace.
+inline constexpr double kAssumedActivity = 0.10;
 
-/// Convenience overload: derives the routes with noc::compute_routes
-/// (identical result — the routing pass is deterministic).
+/// Estimates per-timestep energy and pipelined cycles of `mapping` at a
+/// uniform spike activity of kAssumedActivity, charging each boundary
+/// transfer along its Ml-NoC route — the same table the executor replays
+/// on, so the ranking cannot drift from the measured transport model.
 CostEstimate estimate_cost(const snn::Topology& topology,
                            const core::Mapping& mapping,
-                           double activity = 0.10);
+                           const noc::RouteTable& routes);
 
 }  // namespace resparc::compile

@@ -51,8 +51,9 @@ struct LayerUtilization {
 };
 
 /// Analytic score of one candidate mapping (cost_model.hpp): estimated
-/// per-timestep energy and cycles at an assumed input activity, plus the
-/// static quantities the estimate derives from.
+/// per-timestep energy and cycles at the assumed input activity
+/// (compile::kAssumedActivity), plus the static quantities the estimate
+/// derives from.
 struct CostEstimate {
   double energy_pj_per_step = 0.0;   ///< estimated energy per timestep
   double cycles_per_step = 0.0;      ///< estimated pipelined cycles/timestep
@@ -60,7 +61,8 @@ struct CostEstimate {
   std::size_t bus_boundaries = 0;    ///< layer boundaries on the serial bus
   std::size_t total_mcas = 0;        ///< deployed crossbar arrays
   std::size_t total_neurocells = 0;  ///< occupied NeuroCells
-  double activity = 0.0;             ///< assumed spikes/neuron/step
+  double activity = 0.0;             ///< assumed spikes/neuron/step;
+                                     ///< always kAssumedActivity
 
   /// Scalar used to rank candidates: energy-delay product per timestep.
   double score() const { return energy_pj_per_step * cycles_per_step; }

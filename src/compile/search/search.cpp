@@ -16,9 +16,11 @@
 #include "common/math.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "compile/search/cost_oracle.hpp"
+#include "compile/cost_model.hpp"
+#include "core/executor.hpp"
 #include "core/mapper.hpp"
 #include "noc/route.hpp"
+#include "snn/trace.hpp"
 
 namespace resparc::compile::search {
 
@@ -60,13 +62,6 @@ struct Gene {
 
 /// One candidate mapping: a gene per layer.
 using Genome = std::vector<Gene>;
-
-/// A decoded candidate: the full mapping plus the per-layer memoisation
-/// keys the analytic oracle caches tile terms under.
-struct Decoded {
-  Mapping mapping;
-  std::vector<std::uint64_t> keys;
-};
 
 // ----------------------------------------------------------------- decoder --
 
@@ -118,25 +113,22 @@ class Decoder {
       g[l].policy = normalize_policy(l, sizes_[g[l].size_index], g[l].policy);
   }
 
-  Decoded decode(const Genome& g) const {
+  Mapping decode(const Genome& g) const {
     require(g.size() == topology_.layer_count(),
             "search: genome does not match topology");
-    Decoded d;
-    d.mapping.config = config_;
-    d.keys.reserve(g.size());
+    Mapping m;
+    m.config = config_;
     for (std::size_t l = 0; l < g.size(); ++l) {
       const std::size_t size = sizes_[g[l].size_index];
-      const std::uint8_t policy = normalize_policy(l, size, g[l].policy);
-      const std::uint64_t key = layer_key(l, size, policy);
-      d.keys.push_back(key);
-      d.mapping.layers.push_back(tile_layer(l, size, policy, key));
+      m.layers.push_back(
+          tile_layer(l, size, normalize_policy(l, size, g[l].policy)));
     }
-    place_genome(d.mapping, g);
-    return d;
+    place_genome(m, g);
+    return m;
   }
 
  private:
-  /// Memoisation key: unique per (layer, size, normalised policy).  Sizes
+  /// Tile-cache key: unique per (layer, size, normalised policy).  Sizes
   /// are <= 1024 and policies < 16, so the packing cannot collide.
   static std::uint64_t layer_key(std::size_t l, std::size_t size,
                                  std::uint8_t policy) {
@@ -145,7 +137,8 @@ class Decoder {
   }
 
   LayerMapping tile_layer(std::size_t l, std::size_t size,
-                          std::uint8_t policy, std::uint64_t key) const {
+                          std::uint8_t policy) const {
+    const std::uint64_t key = layer_key(l, size, policy);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       auto it = tile_cache_.find(key);
@@ -213,45 +206,78 @@ class Decoder {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Shared state of one search run: the decoder and both oracles over one
-/// (topology, config) pair.
+/// Synthetic calibration trace: `steps` timesteps of independent
+/// Bernoulli(kAssumedActivity) spikes per neuron on every layer boundary
+/// of `topology`.  Streams derive from stream_seed(seed, layer * steps +
+/// t), so the trace is identical for any thread count and any candidate —
+/// every promotion replays exactly the same spikes.
+snn::SpikeTrace make_calibration_trace(const snn::Topology& topology,
+                                       std::size_t steps, std::uint64_t seed) {
+  snn::SpikeTrace trace;
+  trace.layers.resize(topology.layer_count() + 1);
+  for (std::size_t l = 0; l <= topology.layer_count(); ++l) {
+    const std::size_t neurons =
+        l == 0 ? topology.input_neurons() : topology.layers()[l - 1].neurons;
+    trace.layers[l].reserve(steps);
+    for (std::size_t t = 0; t < steps; ++t) {
+      Rng r(stream_seed(seed, l * steps + t));
+      snn::SpikeVector v(neurons);
+      for (std::size_t i = 0; i < neurons; ++i)
+        if (r.bernoulli(kAssumedActivity)) v.set(i);
+      trace.layers[l].push_back(std::move(v));
+    }
+  }
+  return trace;
+}
+
+/// Shared state of one search run over one (topology, config) pair: the
+/// decoder and the calibration trace both scores read.  Both scores are
+/// energy-delay products (energy x cycles, lower is better) and are
+/// infinite when the genome cannot be decoded into a legal mapping (the
+/// search simply routes around it).  Thread-safe and pure: candidate
+/// scoring fans out on the shared ThreadPool.
 class SearchContext {
  public:
   SearchContext(const snn::Topology& topology, const ResparcConfig& config,
                 const SearchOptions& opt)
-      : decoder_(topology, config, opt.sizes),
-        analytic_(topology, config, opt.activity),
+      : topology_(topology),
+        decoder_(topology, config, opt.sizes),
         trace_(make_calibration_trace(topology, opt.calibration_steps,
-                                      opt.activity,
-                                      stream_seed(opt.seed, 1))),
-        replay_(topology, trace_) {}
+                                      stream_seed(opt.seed, 1))) {}
 
   const Decoder& decoder() const { return decoder_; }
 
-  /// Fast exploration score; infinite when the genome cannot be decoded
-  /// into a legal mapping (the search simply routes around it).
+  /// Fast exploration score: the analytic cost model (compile::
+  /// estimate_cost), microseconds per candidate.
   double analytic_score(const Genome& g) const {
-    return score_with(analytic_, g);
-  }
-
-  /// Event-driven promotion score over the calibration trace.
-  double replay_score(const Genome& g) const { return score_with(replay_, g); }
-
- private:
-  double score_with(const CostOracle& oracle, const Genome& g) const {
     try {
-      const Decoded d = decoder_.decode(g);
-      const noc::RouteTable routes = noc::compute_routes(d.mapping);
-      return oracle.score(d.mapping, routes, d.keys);
+      const Mapping m = decoder_.decode(g);
+      return estimate_cost(topology_, m, noc::compute_routes(m)).score();
     } catch (const std::exception&) {
       return kInf;
     }
   }
 
+  /// Promotion score: an event-fidelity core::Executor replay of the
+  /// calibration trace, milliseconds per candidate.  Its pipelined cycles
+  /// include congestion stalls on real switch FIFOs, so it penalises hot
+  /// boundaries the analytic model cannot see.
+  double replay_score(const Genome& g) const {
+    try {
+      const Mapping m = decoder_.decode(g);
+      const core::Executor exec(topology_, m, noc::compute_routes(m),
+                                noc::Fidelity::kEvent);
+      const core::RunReport r = exec.run(trace_);
+      return r.energy.total_pj() * std::max(1.0, r.perf.cycles_pipelined);
+    } catch (const std::exception&) {
+      return kInf;
+    }
+  }
+
+ private:
+  const snn::Topology& topology_;
   Decoder decoder_;
-  AnalyticOracle analytic_;
   snn::SpikeTrace trace_;
-  ReplayOracle replay_;
 };
 
 /// A scored genome.
@@ -297,15 +323,15 @@ void update_elites(std::vector<Candidate>& elites, const Candidate& c,
 
 /// Appends `c` to the promotion pool unless its genome is already there.
 /// Unlike update_elites this never evicts: baseline genomes must survive
-/// promotion even when the analytic oracle ranks them last.
+/// promotion even when the analytic model ranks them last.
 void add_to_pool(std::vector<Candidate>& pool, const Candidate& c) {
   for (const Candidate& e : pool)
     if (e.genome == c.genome) return;
   pool.push_back(c);
 }
 
-/// Replay-promotes the elite set: re-scores every candidate under the
-/// event-driven oracle in parallel, then picks the argmin sequentially
+/// Replay-promotes the elite set: re-scores every candidate by
+/// event-driven replay in parallel, then picks the argmin sequentially
 /// (lowest index wins ties).  Falls back to `fallback` when every replay
 /// fails, so the search always returns a decodable genome.
 Genome promote(const SearchContext& ctx, const std::vector<Candidate>& elites,
@@ -350,9 +376,9 @@ std::vector<Genome> neighbours(const Decoder& dec, const Genome& g) {
 }
 
 /// Replay-scored coordinate descent around `g`: each round scores the
-/// full single-gene neighbourhood under the event-driven oracle and moves
-/// to the best strict improvement (lowest index wins ties), stopping
-/// early at a local optimum.  The analytic oracle explores whole families
+/// full single-gene neighbourhood by event-driven replay and moves to
+/// the best strict improvement (lowest index wins ties), stopping early
+/// at a local optimum.  The analytic model explores whole families
 /// fast, but it is congestion-blind — two mappings a few percent apart
 /// analytically can differ 3x in measured stall cycles.  Replay ranks
 /// those faithfully, so polishing the promoted winner under it makes the
@@ -463,7 +489,7 @@ Genome run_anneal(const SearchContext& ctx, const SearchOptions& opt,
   }
   update_elites(elites, state, opt.elites);
   // Promotion pool = elites plus the one-shot baselines: the replay
-  // oracle judges them all on the same calibration trace, so the search
+  // judges them all on the same calibration trace, so the search
   // can only return something it measures as no worse than paper or
   // greedy-pack — a safety net against analytic-model blind spots.
   std::vector<Candidate> pool = elites;
@@ -548,7 +574,6 @@ SearchOptions sanitized(SearchOptions opt, const ResparcConfig& cfg) {
   opt.proposals = std::max<std::size_t>(1, opt.proposals);
   opt.elites = std::max<std::size_t>(1, opt.elites);
   opt.calibration_steps = std::max<std::size_t>(1, opt.calibration_steps);
-  if (!(opt.activity > 0.0 && opt.activity <= 1.0)) opt.activity = 0.10;
   return opt;
 }
 
@@ -564,7 +589,7 @@ class SearchStrategyBase : public MappingStrategy {
     const SearchOptions opt = sanitized(options_, cfg);
     SearchContext ctx(topology, cfg, opt);
     const Genome winner = run(ctx, opt, topology.layer_count());
-    return ctx.decoder().decode(winner).mapping;
+    return ctx.decoder().decode(winner);
   }
 
  protected:

@@ -6,10 +6,11 @@
 // policy, alignment bit) — decoded into a full core::Mapping by retiling
 // each layer at its gene's size and placing layers sequentially with the
 // NeuroCell-boundary rules the verifier enforces (a NeuroCell never holds
-// two array sizes).  Candidates are explored under the fast analytic
-// oracle and promoted/accepted under the event-driven replay oracle
-// (cost_oracle.hpp), so the winner is good where it counts: measured
-// stall cycles, not just modelled averages.
+// two array sizes).  Candidates are explored under the analytic cost
+// model (compile::estimate_cost, cost_model.hpp) and promoted/accepted by
+// an event-fidelity core::Executor replay of a short synthetic
+// calibration trace at compile::kAssumedActivity, so the winner is good
+// where it counts: measured stall cycles, not just modelled averages.
 //
 // Determinism contract: every random draw comes from SplitMix64-derived
 // streams of SearchOptions::seed, candidates are scored into pre-sized
@@ -48,15 +49,13 @@ struct SearchOptions {
   /// The one-shot baselines (paper + greedy-pack genomes) always join the
   /// promotion set, so the winner never replay-ranks below them.
   std::size_t elites = 6;
-  /// Timesteps of the synthetic calibration trace the replay oracle runs.
+  /// Timesteps of the synthetic calibration trace the replay score runs.
   std::size_t calibration_steps = 8;
   /// Replay-polish rounds: after promotion, coordinate descent over the
-  /// winner's single-gene neighbourhood scored by the event-driven oracle
-  /// (0 disables).  The analytic oracle is congestion-blind; this pass
-  /// makes the final mapping a local optimum of the measured score.
+  /// winner's single-gene neighbourhood scored by the replay (0
+  /// disables).  The analytic model is congestion-blind; this pass makes
+  /// the final mapping a local optimum of the measured score.
   std::size_t polish = 3;
-  /// Assumed spike activity for the analytic oracle + calibration trace.
-  double activity = 0.10;
   /// Initial Metropolis temperature, as a fraction of the current score.
   double t0 = 0.08;
   /// Geometric cooling rate per round.
@@ -75,7 +74,7 @@ struct SearchOptions {
 };
 
 /// Simulated-annealing strategy ("anneal"): Metropolis over single-gene
-/// mutations, analytic-oracle scored, replay-promoted elites.
+/// mutations, cost-model scored, replay-promoted elites.
 std::unique_ptr<MappingStrategy> make_anneal_strategy();
 /// Annealing strategy with explicit knobs, for budget-controlled searches
 /// through Compiler::compile(topology, strategy).

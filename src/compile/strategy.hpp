@@ -13,8 +13,10 @@
 //                  row/channel boundaries, MCAs packed into mPEs ignoring
 //                  layer-order boundaries
 //   "anneal"       simulated annealing over per-layer tile policy, MCA size
-//                  (heterogeneous mixes) and NeuroCell alignment, scored by
-//                  a CostOracle (src/compile/search, docs/compile.md)
+//                  (heterogeneous mixes) and NeuroCell alignment, explored
+//                  under the analytic cost model (compile::estimate_cost)
+//                  and promoted by event-driven replay (src/compile/search,
+//                  docs/compile.md)
 //   "beam"         deterministic beam search over the same move space
 //
 // Compiler::compile also accepts "auto", which compiles all four and keeps

@@ -145,7 +145,7 @@ std::shared_ptr<const compile::CompiledProgram> ProgramCache::get_or_compile(
     }
   }
 
-  compile::Compiler compiler(config, compile::CompileOptions{config_.activity});
+  const compile::Compiler compiler(config);
   compile::CompiledProgram program = compiler.compile(topology, strategy);
   if (!path.empty()) persist(key, program, path);
 

@@ -35,8 +35,6 @@ struct ProgramCacheConfig {
   /// In-memory LRU capacity in programs (disk blobs are never evicted by
   /// capacity — disk is the persistence layer, memory the working set).
   std::size_t capacity = 16;
-  /// Assumed activity for the compiler's analytic cost model.
-  double activity = 0.10;
 };
 
 /// Monotonic counters of one cache's lifetime (test/bench observability).

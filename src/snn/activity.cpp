@@ -1,40 +1,8 @@
 #include "snn/activity.hpp"
 
-#include <algorithm>
-#include <fstream>
 #include <numeric>
 
 namespace resparc::snn {
-
-namespace {
-
-constexpr const char* kMagic = "resparc-activity-trace";
-constexpr int kVersion = 1;
-
-void expect_token(std::istream& is, const char* expect) {
-  std::string tok;
-  if (!(is >> tok) || tok != expect)
-    throw ActivityError("expected \"" + std::string(expect) + "\", got \"" +
-                        tok + "\"");
-}
-
-template <typename T>
-T read_value(std::istream& is, const char* field) {
-  T v{};
-  if (!(is >> v))
-    throw ActivityError("malformed field \"" + std::string(field) + "\"");
-  return v;
-}
-
-std::size_t read_count(std::istream& is, const char* field, std::size_t max) {
-  const auto v = read_value<std::size_t>(is, field);
-  if (v > max)
-    throw ActivityError("implausible count " + std::to_string(v) +
-                        " in field \"" + std::string(field) + "\"");
-  return v;
-}
-
-}  // namespace
 
 std::uint64_t LayerActivityRaster::total_spikes() const {
   return std::accumulate(spikes_per_step.begin(), spikes_per_step.end(),
@@ -109,60 +77,6 @@ double ActivityTrace::mean_activity() const {
 
 double ActivityTrace::input_sparsity() const {
   return layers.empty() ? 1.0 : 1.0 - layer_activity(0);
-}
-
-void ActivityTrace::save(std::ostream& os) const {
-  os << kMagic << " v" << kVersion << "\n";
-  os << "presentations " << presentations << "\n";
-  os << "layers " << layers.size() << "\n";
-  for (const LayerActivityRaster& raster : layers) {
-    os << "layer " << raster.neurons << " " << raster.spikes_per_step.size();
-    for (const std::uint64_t s : raster.spikes_per_step) os << " " << s;
-    os << "\n";
-  }
-}
-
-bool ActivityTrace::save_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  save(out);
-  return static_cast<bool>(out);
-}
-
-ActivityTrace ActivityTrace::load(std::istream& is) {
-  ActivityTrace a;
-  expect_token(is, kMagic);
-  std::string version;
-  // Two appends instead of `"v" + std::to_string(...)`: the
-  // one-expression form trips GCC 12's -Wrestrict false positive under
-  // -march=native inlining (breaks the -Werror native-arch CI job).
-  std::string expected_version("v");
-  expected_version += std::to_string(kVersion);
-  if (!(is >> version) || version != expected_version)
-    throw ActivityError("unsupported version \"" + version + "\"");
-  expect_token(is, "presentations");
-  a.presentations = read_value<std::size_t>(is, "presentations");
-  expect_token(is, "layers");
-  const std::size_t layers = read_count(is, "layer count", 1u << 20);
-  a.layers.reserve(std::min<std::size_t>(layers, 4096));
-  for (std::size_t l = 0; l < layers; ++l) {
-    expect_token(is, "layer");
-    LayerActivityRaster raster;
-    raster.neurons = read_value<std::size_t>(is, "neurons");
-    const std::size_t steps = read_count(is, "timestep count", 1u << 24);
-    raster.spikes_per_step.reserve(std::min<std::size_t>(steps, 65536));
-    for (std::size_t t = 0; t < steps; ++t)
-      raster.spikes_per_step.push_back(
-          read_value<std::uint64_t>(is, "spike count"));
-    a.layers.push_back(std::move(raster));
-  }
-  return a;
-}
-
-ActivityTrace ActivityTrace::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw ActivityError("cannot open \"" + path + "\"");
-  return load(in);
 }
 
 }  // namespace resparc::snn

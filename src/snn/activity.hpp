@@ -4,14 +4,10 @@
 // distils one or many of them into the per-layer spike rasters the
 // benches and docs report — spikes per layer per timestep, activity
 // fractions, silent steps — without holding the full bit matrices.  It
-// accumulates across presentations (one Workload = many traces) and
-// serializes to the same versioned line-oriented text format as
-// compile::CompiledProgram, so a measured sparsity profile can be
-// committed next to the bench JSON that used it (docs/benchmarks.md).
+// accumulates across presentations (one Workload = many traces).
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -20,7 +16,8 @@
 
 namespace resparc::snn {
 
-/// Thrown when a serialized activity trace is malformed.
+/// Thrown when a trace does not match the accumulated ones (or a layer
+/// index is out of range).
 class ActivityError : public Error {
  public:
   /// Wraps `what` with the "activity trace error:" prefix.
@@ -74,17 +71,6 @@ struct ActivityTrace {
   /// 1 - input-layer activity: the sparsity knob the event-driven
   /// hardware savings scale with (paper section 3.2).
   double input_sparsity() const;
-
-  /// Writes the versioned text format (hexfloat-free: all counters are
-  /// integers, so the round trip is trivially exact).
-  void save(std::ostream& os) const;
-  /// save() into `path`; false when the file cannot be opened/written.
-  bool save_file(const std::string& path) const;
-
-  /// Parses a serialized trace; throws ActivityError when malformed.
-  static ActivityTrace load(std::istream& is);
-  /// load() from a file; throws ActivityError when it cannot be opened.
-  static ActivityTrace load_file(const std::string& path);
 };
 
 }  // namespace resparc::snn

@@ -492,31 +492,33 @@ void consistency_pass(const CompiledProgram& p, const VerifyOptions& options,
                        std::to_string(bus_routes) + " bus routes");
   }
 
-  // Full cost-model re-derivation needs the topology (activity and layer
-  // shapes): the stored energy/cycles must be what the analytic model
-  // computes from the stored mapping + route table today.
-  if (options.topology != nullptr &&
-      options.topology->layer_count() == m.layers.size() &&
-      p.routes.size() == m.layers.size() + 1) {
-    if (p.cost.activity <= 0.0 || p.cost.activity > 1.0) {
-      report.error("RV-CONS-COST-MODEL", "cost",
-                   "recorded activity " + std::to_string(p.cost.activity) +
-                       " outside (0, 1]");
-    } else {
-      try {
-        const compile::CostEstimate want = compile::estimate_cost(
-            *options.topology, m, p.routes, p.cost.activity);
-        if (!close(p.cost.energy_pj_per_step, want.energy_pj_per_step,
-                   options.tolerance) ||
-            !close(p.cost.cycles_per_step, want.cycles_per_step,
-                   options.tolerance))
-          report.error("RV-CONS-COST-MODEL", "cost",
-                       "stored energy/cycles do not re-derive from the "
-                       "mapping + route table (stale cost model?)");
-      } catch (const Error& e) {
+  // The compiler records the one activity the cost model assumes; any
+  // other value means the blob was not written by this compiler.  Full
+  // re-derivation also needs the topology (layer shapes): the stored
+  // energy/cycles must be what the analytic model computes from the
+  // stored mapping + route table today.
+  if (p.cost.activity != compile::kAssumedActivity) {
+    std::ostringstream msg;
+    msg << std::hexfloat << "recorded activity " << p.cost.activity
+        << " is not the cost model's assumed activity "
+        << compile::kAssumedActivity;
+    report.error("RV-CONS-COST-MODEL", "cost", msg.str());
+  } else if (options.topology != nullptr &&
+             options.topology->layer_count() == m.layers.size() &&
+             p.routes.size() == m.layers.size() + 1) {
+    try {
+      const compile::CostEstimate want =
+          compile::estimate_cost(*options.topology, m, p.routes);
+      if (!close(p.cost.energy_pj_per_step, want.energy_pj_per_step,
+                 options.tolerance) ||
+          !close(p.cost.cycles_per_step, want.cycles_per_step,
+                 options.tolerance))
         report.error("RV-CONS-COST-MODEL", "cost",
-                     std::string("cost re-derivation failed: ") + e.what());
-      }
+                     "stored energy/cycles do not re-derive from the "
+                     "mapping + route table (stale cost model?)");
+    } catch (const Error& e) {
+      report.error("RV-CONS-COST-MODEL", "cost",
+                   std::string("cost re-derivation failed: ") + e.what());
     }
   }
 

@@ -9,7 +9,6 @@
 #include "api/pipeline.hpp"
 #include "api/registry.hpp"
 #include "compile/compiler.hpp"
-#include "compile/cost_model.hpp"
 #include "compile/program.hpp"
 #include "compile/strategy.hpp"
 #include "snn/benchmarks.hpp"
@@ -197,14 +196,6 @@ TEST(CostModel, ScoresTrackMcaSizeTradeoffOnCnn) {
   const CostEstimate c128 =
       Compiler(core::config_with_mca(128)).compile(spec.topology, "paper").cost;
   EXPECT_GT(c32.utilization, c128.utilization);
-}
-
-TEST(CostModel, RejectsBadActivity) {
-  const auto spec = snn::mnist_mlp();
-  const core::ResparcConfig cfg = core::default_config();
-  const Mapping m = core::map_network(spec.topology, cfg);
-  EXPECT_THROW(estimate_cost(spec.topology, m, 0.0), ConfigError);
-  EXPECT_THROW(estimate_cost(spec.topology, m, 1.5), ConfigError);
 }
 
 TEST(CompilerAuto, PicksTheBestScoringStrategy) {

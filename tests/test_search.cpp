@@ -256,7 +256,6 @@ TEST(SearchOptionsSeam, DegenerateOptionsStillCompileClean) {
   opt.elites = 0;
   opt.calibration_steps = 0;
   opt.polish = 0;
-  opt.activity = -3.0;
   const CompiledProgram program =
       compile_anneal(opt, snn::mnist_mlp().topology);
   const verify::VerifyReport report = verify::verify_program(program);

@@ -3,13 +3,11 @@
 // feeds:
 //   * engine-vs-reference bit-for-bit parity across every bundled
 //     topology shape (MLP and CNN, leaky and paper-scale);
-//   * ActivityTrace accumulation and round-trip serialization;
+//   * ActivityTrace accumulation;
 //   * the all-zero-input regression: under the event-driven executor an
 //     empty trace must be (almost) free — every array skipped, nothing
 //     transferred, zero cycles.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "api/backends.hpp"
 #include "api/pipeline.hpp"
@@ -136,36 +134,6 @@ TEST(ActivityTrace, AccumulatesAndMatchesMeanActivity) {
   EXPECT_GT(w.activity.layers[0].total_spikes(), 0u);
   EXPECT_GE(w.activity.input_sparsity(), 0.0);
   EXPECT_LE(w.activity.input_sparsity(), 1.0);
-}
-
-TEST(ActivityTrace, RoundTripsThroughSerialization) {
-  const Workload w =
-      run_workload(snn::small_cnn_topology(snn::DatasetKind::kMnistLike),
-                   snn::DatasetKind::kMnistLike, 2);
-  std::stringstream ss;
-  w.activity.save(ss);
-  const snn::ActivityTrace loaded = snn::ActivityTrace::load(ss);
-
-  ASSERT_EQ(loaded.presentations, w.activity.presentations);
-  ASSERT_EQ(loaded.layer_count(), w.activity.layer_count());
-  for (std::size_t l = 0; l < loaded.layer_count(); ++l) {
-    EXPECT_EQ(loaded.layers[l].neurons, w.activity.layers[l].neurons);
-    ASSERT_EQ(loaded.layers[l].spikes_per_step,
-              w.activity.layers[l].spikes_per_step);
-  }
-  EXPECT_DOUBLE_EQ(loaded.mean_activity(), w.activity.mean_activity());
-}
-
-TEST(ActivityTrace, RejectsMalformedStreams) {
-  std::stringstream bad_magic("not-an-activity-trace v1\n");
-  EXPECT_THROW(snn::ActivityTrace::load(bad_magic), snn::ActivityError);
-
-  std::stringstream bad_version("resparc-activity-trace v999\n");
-  EXPECT_THROW(snn::ActivityTrace::load(bad_version), snn::ActivityError);
-
-  std::stringstream truncated(
-      "resparc-activity-trace v1\npresentations 1\nlayers 2\nlayer 4 2 1");
-  EXPECT_THROW(snn::ActivityTrace::load(truncated), snn::ActivityError);
 }
 
 TEST(ActivityTrace, RejectsMismatchedAccumulation) {

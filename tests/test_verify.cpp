@@ -216,6 +216,48 @@ TEST(VerifyTamper, CorruptNeuroCellTotalIsRejectedPromptly) {
   }
 }
 
+// The golden blob's cost line records the assumed activity as its last
+// field and the per-step energy as its first; a blob that disagrees with
+// the cost model on either is rejected with RV-CONS-COST-MODEL.
+VerifyReport verify_golden_with_topology(const std::string& blob) {
+  std::istringstream is(blob);
+  const CompiledProgram program =
+      CompiledProgram::parse(is, core::default_config());
+  VerifyOptions options;
+  const snn::Topology topology = snn::mnist_mlp().topology;
+  options.topology = &topology;
+  return verify_program(program, options);
+}
+
+TEST(VerifyTamper, ForeignActivityIsACostModelFinding) {
+  const std::string blob =
+      tampered(golden_blob(), " 6 0x1.999999999999ap-4\n",
+               " 6 0x1.999999999999ap-3\n");
+  const VerifyReport report = verify_golden_with_topology(blob);
+  ASSERT_EQ(report.error_count(), 1u) << report.to_string();
+  EXPECT_EQ(report.diagnostics().front().code, "RV-CONS-COST-MODEL");
+  EXPECT_NE(report.diagnostics().front().message.find(
+                "activity 0x1.999999999999ap-3"),
+            std::string::npos)
+      << report.to_string();
+  // The activity check needs no topology, so load() refuses it too.
+  std::istringstream is(blob);
+  try {
+    CompiledProgram::load(is, core::default_config());
+    FAIL() << "load() must reject a program with a foreign activity";
+  } catch (const VerifyError& e) {
+    EXPECT_EQ(e.code(), "RV-CONS-COST-MODEL");
+  }
+}
+
+TEST(VerifyTamper, EditedEnergyIsACostModelFinding) {
+  const std::string blob = tampered(golden_blob(), "cost 0x1.8fcd43fca98cbp+12",
+                                    "cost 0x1.8fcd43fca98cbp+13");
+  const VerifyReport report = verify_golden_with_topology(blob);
+  ASSERT_EQ(report.error_count(), 1u) << report.to_string();
+  EXPECT_EQ(report.diagnostics().front().code, "RV-CONS-COST-MODEL");
+}
+
 // ------------------------------------------------------ hand-built damage --
 
 TEST(VerifyTamper, CapacityOverflowInAHandEditedMappingIsCaught) {
